@@ -1,6 +1,6 @@
 """Recurrent grow-when-required networks with trajectory replay."""
 
-from .labeling import LabelAssociations, classify_sample, record_label
+from .labeling import LabelAssociations, classify_sample
 from .model import (
     GROWING,
     STATIC,
@@ -19,7 +19,6 @@ from .replay import (
     Rnat,
     TemporalSynapses,
     generate_rnat,
-    record_transition,
     replay_episode,
 )
 from .snapshot import load_snapshot, load_snapshot_file, save_snapshot, save_snapshot_file
@@ -44,8 +43,6 @@ __all__ = [
     "init_static",
     "load_snapshot",
     "load_snapshot_file",
-    "record_label",
-    "record_transition",
     "replay_episode",
     "save_snapshot",
     "save_snapshot_file",

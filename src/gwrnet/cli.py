@@ -16,6 +16,8 @@ import argparse
 import configparser
 import json
 import sys
+import typing
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from .datasets import (
@@ -41,68 +43,54 @@ class ValidationError(Exception):
     pass
 
 
-_HYPER_KEYS = {
-    "insertion_threshold": float,
-    "habituation_threshold": float,
-    "tau_b": float,
-    "tau_n": float,
-    "kappa": float,
-    "eps_b": float,
-    "eps_n": float,
-    "beta": float,
-    "num_contexts": int,
-    "alpha": "floats",
-    "context_form": str,
-}
-_PROTOCOL_KEYS = {
-    "kind": str,
-    "mode": str,
-    "replay": "bool",
-    "n_max": int,
-    "epochs": int,
-    "trials": int,
-    "seed": int,
-    "test_sessions": "ints",
-}
-_DATASET_KEYS = {
-    "source": str,
-    "path": str,
-    "categories": int,
-    "instances": int,
-    "sessions": int,
-    "dim": int,
-    "frames_per_seq": int,
-    "cluster_spread": float,
-    "walk_step": float,
-    "noise": float,
-    "data_seed": int,
-}
-_OUTPUT_KEYS = {
-    "dir": str,
-    "snapshot": "bool",
-    "parallel_trials": int,
-}
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parser_for(annotation):
+    """Text parser for a field type; tuples are comma-separated items."""
+    if annotation is bool:
+        return _parse_bool
+    if typing.get_origin(annotation) is tuple:
+        item = typing.get_args(annotation)[0]
+
+        def comma_separated(raw: str) -> tuple:
+            return tuple(item(v) for v in raw.split(",") if v.strip())
+
+        return comma_separated
+    return annotation
+
+
+def _keys_of(cls, skip=()) -> dict:
+    """Config key -> text parser for each scalar field of a spec dataclass,
+    in declaration order; nested specs are not keys."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _parser_for(hints[f.name])
+        for f in fields(cls)
+        if f.name not in skip and not is_dataclass(hints[f.name])
+    }
+
+
+_PROTOCOL_KEYS = _keys_of(ProtocolSpec)
+# the protocol sets the network capacity, so the model section leaves it out
+_HYPER_KEYS = _keys_of(HyperParams, skip=_PROTOCOL_KEYS)
+_SYNTHETIC_KEYS = _keys_of(SyntheticSpec)
 _SECTIONS = {
     "model": _HYPER_KEYS,
     "protocol": _PROTOCOL_KEYS,
-    "dataset": _DATASET_KEYS,
-    "output": _OUTPUT_KEYS,
+    "dataset": {"source": str, "path": str, **_SYNTHETIC_KEYS, "data_seed": int},
+    "output": {"dir": str, "snapshot": _parse_bool, "parallel_trials": int},
 }
-
-
-def _parse_value(kind, raw: str):
-    if kind == "bool":
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValidationError(f"not a boolean: {raw!r}")
-    if kind == "ints":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if kind == "floats":
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    return kind(raw)
+# flags whose spelling predates the field names; every other field flag is
+# the field name with dashes
+_FLAG_NAMES = {"n_max": "--nmax", "num_contexts": "--contexts", "kind": "--protocol"}
+_GEN_FLAG_NAMES = {"frames_per_seq": "--frames"}
 
 
 def _load_config(path: str) -> dict[str, dict]:
@@ -119,7 +107,7 @@ def _load_config(path: str) -> dict[str, dict]:
             if key not in known:
                 raise ValidationError(f"unknown config key {key!r} in [{section}]")
             try:
-                values[section][key] = _parse_value(known[key], raw)
+                values[section][key] = known[key](raw)
             except ValueError as exc:
                 raise ValidationError(f"bad value for {section}.{key}: {exc}") from None
     return values
@@ -156,16 +144,7 @@ def _echo_config(path: Path, sections: dict[str, dict]) -> None:
 
 def _cmd_gen_data(args) -> int:
     try:
-        spec = SyntheticSpec(
-            categories=args.categories,
-            instances=args.instances,
-            sessions=args.sessions,
-            dim=args.dim,
-            frames_per_seq=args.frames,
-            cluster_spread=args.cluster_spread,
-            walk_step=args.walk_step,
-            noise=args.noise,
-        )
+        spec = SyntheticSpec(**{key: getattr(args, key) for key in _SYNTHETIC_KEYS})
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     dataset = generate_synthetic(spec, args.seed)
@@ -193,70 +172,20 @@ def _build_dataset(data_cfg: dict) -> tuple[Dataset, dict]:
         return dataset, {"source": "file", "path": path}
     if source != "synthetic":
         raise ValidationError(f"unknown dataset source {source!r}")
-    defaults = SyntheticSpec()
     try:
-        spec = SyntheticSpec(
-            categories=data_cfg.get("categories", defaults.categories),
-            instances=data_cfg.get("instances", defaults.instances),
-            sessions=data_cfg.get("sessions", defaults.sessions),
-            dim=data_cfg.get("dim", defaults.dim),
-            frames_per_seq=data_cfg.get("frames_per_seq", defaults.frames_per_seq),
-            cluster_spread=data_cfg.get("cluster_spread", defaults.cluster_spread),
-            walk_step=data_cfg.get("walk_step", defaults.walk_step),
-            noise=data_cfg.get("noise", defaults.noise),
-        )
+        spec = SyntheticSpec(**{k: v for k, v in data_cfg.items() if k in _SYNTHETIC_KEYS})
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     data_seed = data_cfg.get("data_seed", 1)
-    resolved = {
-        "source": "synthetic",
-        "data_seed": data_seed,
-        "categories": spec.categories,
-        "instances": spec.instances,
-        "sessions": spec.sessions,
-        "dim": spec.dim,
-        "frames_per_seq": spec.frames_per_seq,
-        "cluster_spread": spec.cluster_spread,
-        "walk_step": spec.walk_step,
-        "noise": spec.noise,
-    }
+    resolved = {"source": "synthetic", "data_seed": data_seed, **asdict(spec)}
     return generate_synthetic(spec, data_seed), resolved
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config) if args.config else {s: {} for s in _SECTIONS}
 
-    hyper_cfg = _resolve(
-        config["model"],
-        {
-            "insertion_threshold": args.insertion_threshold,
-            "habituation_threshold": args.habituation_threshold,
-            "tau_b": args.tau_b,
-            "tau_n": args.tau_n,
-            "kappa": args.kappa,
-            "eps_b": args.eps_b,
-            "eps_n": args.eps_n,
-            "beta": args.beta,
-            "num_contexts": args.contexts,
-            "alpha": tuple(float(v) for v in args.alpha.split(",")) if args.alpha else None,
-            "context_form": args.context_form,
-        },
-    )
-    proto_cfg = _resolve(
-        config["protocol"],
-        {
-            "kind": args.protocol,
-            "mode": args.mode,
-            "replay": args.replay,
-            "n_max": args.nmax,
-            "epochs": args.epochs,
-            "trials": args.trials,
-            "seed": args.seed,
-            "test_sessions": tuple(int(v) for v in args.test_sessions.split(","))
-            if args.test_sessions
-            else None,
-        },
-    )
+    hyper_cfg = _resolve(config["model"], {k: getattr(args, k) for k in _HYPER_KEYS})
+    proto_cfg = _resolve(config["protocol"], {k: getattr(args, k) for k in _PROTOCOL_KEYS})
     data_cfg = _resolve(
         config["dataset"],
         {
@@ -302,19 +231,12 @@ def _cmd_run(args) -> int:
 
     write_metrics_csv(result.records, out_path / "metrics.csv")
     write_timing_csv(result.records, out_path / "timing.csv")
+    # echoed in declaration order whether a value came from a flag, the
+    # config file or a default, so a rerun from config.resolved.ini
+    # reproduces summary.json byte for byte
     echo_sections = {
-        "model": hyper_cfg
-        | {k: getattr(hyper, k) for k in _HYPER_KEYS if k not in hyper_cfg},
-        "protocol": {
-            "kind": spec.kind,
-            "mode": spec.mode,
-            "replay": spec.replay,
-            "n_max": spec.n_max,
-            "epochs": spec.epochs,
-            "trials": spec.trials,
-            "seed": spec.seed,
-            "test_sessions": spec.test_sessions,
-        },
+        "model": {k: getattr(hyper, k) for k in _HYPER_KEYS},
+        "protocol": {k: getattr(spec, k) for k in _PROTOCOL_KEYS},
         "dataset": data_echo,
         # the directory itself is not echoed so reruns into different
         # directories produce byte-identical outputs
@@ -340,8 +262,7 @@ def _cmd_run(args) -> int:
     final = max(r.checkpoint for r in result.records)
     finals = [r.acc_overall for r in result.records if r.checkpoint == final]
     print(
-        f"{spec.kind}/{spec.mode}{'+replay' if spec.replay else ''}: "
-        f"{spec.trials} trial(s), final overall accuracy "
+        f"{spec.label}: {len(finals)} trial(s), final overall accuracy "
         f"{sum(finals) / len(finals):.4f} -> {out_dir}"
     )
     return 0
@@ -410,16 +331,10 @@ def _cmd_snapshot_dump(args) -> int:
     print(f"  mode={network.mode} dim={network.dim} steps={network.step_count}")
     print(f"  neurons={network.num_neurons} edges={len(network.edges)}")
     print(f"  prev_bmu={network.prev_bmu}")
-    hyper = network.hyper
-    print(
-        "  hyper: "
-        f"insertion_threshold={hyper.insertion_threshold} "
-        f"habituation_threshold={hyper.habituation_threshold} "
-        f"tau_b={hyper.tau_b} tau_n={hyper.tau_n} kappa={hyper.kappa} "
-        f"eps_b={hyper.eps_b} eps_n={hyper.eps_n} beta={hyper.beta} "
-        f"num_contexts={hyper.num_contexts} alpha={list(hyper.alpha)} "
-        f"n_max={hyper.n_max} context_form={hyper.context_form}"
-    )
+    print("  hyper: " + " ".join(
+        f"{k}={list(v) if isinstance(v, tuple) else v}"
+        for k, v in asdict(network.hyper).items()
+    ))
     print(f"  transitions recorded: {synapses.total()}")
     print(
         f"  label records: {label_counts.total_records} "
@@ -441,6 +356,18 @@ def _cmd_snapshot_dump(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _add_field_flags(parser, defaults, keys: dict, renamed: dict) -> None:
+    """One flag per config key; without ``defaults`` an unset flag stays None
+    so config-file values and dataclass defaults show through."""
+    for key, parse in keys.items():
+        flag = renamed.get(key, "--" + key.replace("_", "-"))
+        default = getattr(defaults, key) if defaults is not None else None
+        if parse is _parse_bool:
+            parser.add_argument(flag, dest=key, action="store_true", default=default)
+        else:
+            parser.add_argument(flag, dest=key, type=parse, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwrnet",
@@ -448,43 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    data_defaults = SyntheticSpec()
     gen = sub.add_parser("gen-data", help="write a synthetic feature CSV")
-    gen.add_argument("--categories", type=int, default=data_defaults.categories)
-    gen.add_argument("--instances", type=int, default=data_defaults.instances)
-    gen.add_argument("--sessions", type=int, default=data_defaults.sessions)
-    gen.add_argument("--dim", type=int, default=data_defaults.dim)
-    gen.add_argument("--frames", type=int, default=data_defaults.frames_per_seq)
-    gen.add_argument("--cluster-spread", type=float, default=data_defaults.cluster_spread)
-    gen.add_argument("--walk-step", type=float, default=data_defaults.walk_step)
-    gen.add_argument("--noise", type=float, default=data_defaults.noise)
+    _add_field_flags(gen, SyntheticSpec(), _SYNTHETIC_KEYS, _GEN_FLAG_NAMES)
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
 
     run = sub.add_parser("run", help="execute a training protocol")
     run.add_argument("--config", help="INI configuration file")
-    run.add_argument("--protocol", choices=["batch", "incremental"])
-    run.add_argument("--mode", choices=["static", "growing"])
-    run.add_argument("--replay", action="store_true", default=None)
-    run.add_argument("--nmax", type=int)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--test-sessions", help="comma-separated session ids")
+    _add_field_flags(run, None, _PROTOCOL_KEYS, _FLAG_NAMES)
     run.add_argument("--data", help="feature CSV path (default: synthetic data)")
     run.add_argument("--data-seed", type=int)
-    run.add_argument("--insertion-threshold", type=float)
-    run.add_argument("--habituation-threshold", type=float)
-    run.add_argument("--tau-b", type=float)
-    run.add_argument("--tau-n", type=float)
-    run.add_argument("--kappa", type=float)
-    run.add_argument("--eps-b", type=float)
-    run.add_argument("--eps-n", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--contexts", type=int, help="temporal depth (number of contexts)")
-    run.add_argument("--alpha", help="comma-separated distance weights, length contexts+1")
-    run.add_argument("--context-form", choices=["recursive", "literal"])
+    _add_field_flags(run, None, _HYPER_KEYS, _FLAG_NAMES)
     run.add_argument("--out")
     run.add_argument("--parallel-trials", type=int)
     run.add_argument("--snapshot", action="store_true", default=None)

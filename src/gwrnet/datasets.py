@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,16 +23,6 @@ log = logging.getLogger(__name__)
 WALK_PULLBACK = 0.9
 
 CSV_FIXED_COLUMNS = ["label_category", "label_instance", "session", "sequence", "frame"]
-
-
-@dataclass
-class Frame:
-    features: np.ndarray
-    category: str
-    instance: str
-    session: int
-    sequence: int
-    frame_index: int
 
 
 @dataclass
@@ -47,17 +37,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def frames(self) -> Iterator[Frame]:
-        for t in range(len(self)):
-            yield Frame(
-                features=self.features[t],
-                category=self.category,
-                instance=self.instance,
-                session=self.session,
-                sequence=self.sequence_id,
-                frame_index=t,
-            )
 
 
 class Dataset:
@@ -92,10 +71,6 @@ class Dataset:
     @property
     def num_frames(self) -> int:
         return sum(len(s) for s in self.sequences)
-
-    def frames(self) -> Iterator[Frame]:
-        for seq in self.sequences:
-            yield from seq.frames()
 
     def sequences_of(
         self, category: Optional[str] = None, session: Optional[int] = None
@@ -201,15 +176,11 @@ def write_features(dataset: Dataset, path) -> None:
     header = CSV_FIXED_COLUMNS + [f"f{i}" for i in range(dataset.dim)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for frame in dataset.frames():
-            cells = [
-                frame.category,
-                frame.instance,
-                str(frame.session),
-                str(frame.sequence),
-                str(frame.frame_index),
-            ] + [repr(float(v)) for v in frame.features]
-            fh.write(",".join(cells) + "\n")
+        for seq in dataset.sequences:
+            labels = [seq.category, seq.instance, str(seq.session), str(seq.sequence_id)]
+            for t, row in enumerate(seq.features):
+                cells = labels + [str(t)] + [repr(float(v)) for v in row]
+                fh.write(",".join(cells) + "\n")
 
 
 class FeatureFileError(ValueError):
@@ -232,12 +203,14 @@ def load_features(path) -> Dataset:
     if dim < 1 or feature_cols != [f"f{i}" for i in range(dim)]:
         raise FeatureFileError("line 1: feature columns must be f0..f{n-1}")
 
-    # sequence id -> (category, instance, session, [rows]); frame indices must
-    # rise strictly within a sequence and a sequence id must not reappear
-    # after another sequence started
+    # sequence id -> (category, instance, session) and its [start, stop) rows
+    # in file order; frame indices must rise strictly within a sequence and a
+    # sequence id must not reappear after another sequence started
     open_seq: Optional[int] = None
     seen: dict[int, tuple] = {}
-    rows: dict[int, list[np.ndarray]] = {}
+    spans: dict[int, list[int]] = {}
+    rows: list[np.ndarray] = []
+    row_lines: list[int] = []
     last_frame: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -271,21 +244,28 @@ def load_features(path) -> Dataset:
                 )
         else:
             seen[seq_id] = key
-            rows[seq_id] = []
-        rows[seq_id].append(features)
+            spans[seq_id] = [len(rows), len(rows)]
+        rows.append(features)
+        row_lines.append(lineno)
+        spans[seq_id][1] = len(rows)
         last_frame[seq_id] = frame_index
         open_seq = seq_id
     if not rows:
         raise FeatureFileError("line 2: no data rows")
+    matrix = np.vstack(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = row_lines[int(np.argmin(finite))]
+        raise FeatureFileError(f"line {bad}: non-finite feature value")
     sequences = [
         Sequence(
             category=seen[seq_id][0],
             instance=seen[seq_id][1],
             session=seen[seq_id][2],
             sequence_id=seq_id,
-            features=np.vstack(rows[seq_id]),
+            features=matrix[start:stop],
         )
-        for seq_id in rows
+        for seq_id, (start, stop) in spans.items()
     ]
     return Dataset(sequences)
 

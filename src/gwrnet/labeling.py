@@ -17,10 +17,17 @@ Label = Hashable
 
 
 class LabelAssociations:
-    """Per-neuron label frequency histograms with a replay-attributed tally."""
+    """Per-neuron label frequency histograms with a replay-attributed tally.
 
-    def __init__(self):
+    ``rows`` restores histograms from (neuron_id, label, count) triples as
+    :meth:`items` yields them; list labels (how JSON carries tuples) come back
+    as tuples so they stay hashable.
+    """
+
+    def __init__(self, rows=()):
         self._rows: dict[int, dict[Label, int]] = {}
+        for neuron_id, label, count in rows:
+            self._rows.setdefault(neuron_id, {})[_hashable(label)] = count
         self.total_records = 0
         self.replay_records = 0
 
@@ -55,17 +62,9 @@ class LabelAssociations:
             for label, count in self._rows[neuron_id].items():
                 yield neuron_id, label, count
 
-    def total(self) -> int:
-        return sum(count for _, _, count in self.items())
 
-
-def record_label(
-    network: Network, counts: LabelAssociations, neuron_id: int, label: Label
-) -> None:
-    """Existence-checked label recording."""
-    if not network.has_neuron(neuron_id):
-        raise KeyError(f"no neuron with id {neuron_id}")
-    counts.record(neuron_id, label)
+def _hashable(label):
+    return tuple(_hashable(v) for v in label) if isinstance(label, list) else label
 
 
 def classify_sample(

@@ -20,7 +20,7 @@ the caller and passed into :meth:`Network.step`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,7 +105,6 @@ class StepOutcome:
     distance: float
     activity: float
     inserted: Optional[int] = None
-    adapted_ids: list[int] = field(default_factory=list)
 
 
 def activity(d_b: float) -> float:
@@ -183,6 +182,12 @@ class Network:
         """Current context stack C_1..C_K, shape (num_contexts, dim)."""
         return self._query[1:].copy()
 
+    @global_context.setter
+    def global_context(self, value) -> None:
+        self._query[1:] = np.asarray(value, dtype=float).reshape(
+            self.hyper.num_contexts, self.dim
+        )
+
     @property
     def edges(self) -> list[tuple[int, int]]:
         return sorted(
@@ -220,9 +225,33 @@ class Network:
 
     # -- matching ----------------------------------------------------------
 
-    def _distances(self, query: np.ndarray) -> np.ndarray:
+    def _nearest(self, query: np.ndarray) -> tuple[int, int, float]:
+        """Winner, runner-up and winner distance for a full [input, C_1..C_K]
+        query; ties resolve to the smaller neuron id."""
+        if self.num_neurons < 2:
+            raise RuntimeError("matching needs at least two neurons")
         diff = self._units[: self.num_neurons] - query
-        return np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
+        d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
+        b = int(np.argmin(d))
+        d_b = float(d[b])
+        d[b] = np.inf
+        return b, int(np.argmin(d)), d_b
+
+    def _advance_context(self, query: np.ndarray, prev_bmu: Optional[int]) -> None:
+        """Write C_1..C_K into query rows 1.. from the previous winner; zero
+        at sequence start."""
+        if prev_bmu is None:
+            query[1:] = 0.0
+            return
+        unit = self._units[prev_bmu]
+        k = self.hyper.num_contexts
+        beta = self.hyper.beta
+        if self.hyper.context_form == CONTEXT_RECURSIVE:
+            # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
+            # unit[0:k] is exactly [c_{b,0}, ..., c_{b,K-1}].
+            query[1:] = beta * unit[0] + (1.0 - beta) * unit[0:k]
+        else:
+            query[1:] = beta * unit[0] + (1.0 - beta) * unit[1 : k + 1]
 
     def distance(self, neuron_id: int, x: np.ndarray) -> float:
         """Context-weighted squared distance between a neuron and an input."""
@@ -237,33 +266,12 @@ class Network:
 
         Ties resolve to the smaller neuron id. Requires at least two neurons.
         """
-        if self.num_neurons < 2:
-            raise RuntimeError("matching needs at least two neurons")
-        x = self._check_input(x)
-        self._query[0] = x
-        d = self._distances(self._query)
-        b = int(np.argmin(d))
-        d_b = float(d[b])
-        d[b] = np.inf
-        s = int(np.argmin(d))
-        return b, s, d_b
-
-    def _context_from(self, bmu_id: int) -> np.ndarray:
-        unit = self._units[bmu_id]
-        k = self.hyper.num_contexts
-        beta = self.hyper.beta
-        if self.hyper.context_form == CONTEXT_RECURSIVE:
-            # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
-            # unit[0:k] is exactly [c_{b,0}, ..., c_{b,K-1}].
-            return beta * unit[0] + (1.0 - beta) * unit[0:k]
-        return beta * unit[0] + (1.0 - beta) * unit[1 : k + 1]
+        self._query[0] = self._check_input(x)
+        return self._nearest(self._query)
 
     def update_global_context(self) -> np.ndarray:
         """Advance C_1..C_K from the previous winner; zero at sequence start."""
-        if self.prev_bmu is None:
-            self._query[1:] = 0.0
-        else:
-            self._query[1:] = self._context_from(self.prev_bmu)
+        self._advance_context(self._query, self.prev_bmu)
         return self.global_context
 
     def reset_context(self) -> None:
@@ -276,20 +284,9 @@ class Network:
 
     def match(self, x: np.ndarray, ctx: MatchContext) -> tuple[int, int, float]:
         """Evaluation-mode matching: advances ctx, mutates no network state."""
-        if self.num_neurons < 2:
-            raise RuntimeError("matching needs at least two neurons")
-        x = self._check_input(x)
-        ctx.query[0] = x
-        if ctx.prev_bmu is None:
-            ctx.query[1:] = 0.0
-        else:
-            ctx.query[1:] = self._context_from(ctx.prev_bmu)
-        diff = self._units[: self.num_neurons] - ctx.query
-        d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
-        b = int(np.argmin(d))
-        d_b = float(d[b])
-        d[b] = np.inf
-        s = int(np.argmin(d))
+        ctx.query[0] = self._check_input(x)
+        self._advance_context(ctx.query, ctx.prev_bmu)
+        b, s, d_b = self._nearest(ctx.query)
         ctx.prev_bmu = b
         return b, s, d_b
 
@@ -387,17 +384,16 @@ class Network:
 
     def _iterate(self, x, label, transitions, label_counts, replay: bool) -> StepOutcome:
         x = self._check_input(x)
-        self.update_global_context()
+        self._advance_context(self._query, self.prev_bmu)
         bmu_id, second_id, d_b = self.find_bmu(x)
         act = activity(d_b)
         if transitions is not None and self.prev_bmu is not None:
             transitions.record(self.prev_bmu, bmu_id)
         inserted = None
-        adapted: list[int] = []
         if not replay:
             inserted = self.maybe_insert(x, bmu_id, second_id, act)
         if inserted is None:
-            adapted = self.adapt(bmu_id, x)
+            self.adapt(bmu_id, x)
             self.connect(bmu_id, second_id)
         if label_counts is not None and label is not None:
             credit = bmu_id if inserted is None else inserted
@@ -410,7 +406,6 @@ class Network:
             distance=d_b,
             activity=act,
             inserted=inserted,
-            adapted_ids=adapted,
         )
 
 

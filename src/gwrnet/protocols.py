@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class ProtocolSpec:
 
     def resolved_hyper(self) -> HyperParams:
         return replace(self.hyper, n_max=self.n_max)
+
+    @property
+    def label(self) -> str:
+        """Short run name such as ``incremental/growing+replay``."""
+        return f"{self.kind}/{self.mode}{'+replay' if self.replay else ''}"
 
 
 @dataclass
@@ -172,47 +177,6 @@ class _TrialOutput:
     snapshot: str | None
 
 
-def _checkpoint_record(
-    spec,
-    trial,
-    checkpoint,
-    network,
-    result,
-    encountered,
-    peaks,
-    replay_steps,
-    wall_ms,
-) -> MetricsRecord:
-    per_cat = {c: result.category_accuracy(c) for c in result.per_category}
-    for c in encountered:
-        if c in per_cat:
-            peaks[c] = max(peaks.get(c, 0.0), per_cat[c])
-    tracked = [c for c in encountered if c in peaks]
-    forgetting = (
-        sum(peaks[c] - per_cat[c] for c in tracked) / len(tracked) if tracked else 0.0
-    )
-    return MetricsRecord(
-        trial=trial,
-        checkpoint=checkpoint,
-        mode=spec.mode,
-        replay=spec.replay,
-        n_neurons=network.num_neurons,
-        acc_overall=result.overall,
-        acc_seen=result.subset_accuracy(encountered),
-        forgetting_mean=forgetting,
-        replay_steps=replay_steps,
-        wall_ms=wall_ms,
-        per_category=per_cat,
-    )
-
-
-def _train_sequence(network, seq, synapses, label_counts):
-    network.reset_context()
-    features = seq.features
-    for t in range(features.shape[0]):
-        network.step(features[t], seq.instance, synapses, label_counts)
-
-
 def incremental_plan(
     spec: ProtocolSpec, train: Dataset, trial: int
 ) -> tuple[list[str], list[list]]:
@@ -239,99 +203,78 @@ def incremental_plan(
     return category_order, minibatches
 
 
-def _run_incremental_trial(spec: ProtocolSpec, dataset: Dataset, trial: int, with_snapshot: bool) -> _TrialOutput:
-    train, test = split_by_sessions(dataset, spec.test_sessions)
-    if train.num_frames == 0:
-        raise ValueError("train split is empty")
-    category_order, minibatches = incremental_plan(spec, train, trial)
-
-    first_batch = np.concatenate([s.features for s in minibatches[0]])
-    network = _init_network(spec, train.dim, first_batch, trial)
-    synapses = TemporalSynapses()
-    label_counts = LabelAssociations()
-
-    records: list[MetricsRecord] = []
-    peaks: dict[str, float] = {}
-    replay_steps = 0
-    last = time.perf_counter()
-    for index, category in enumerate(category_order):
-        for seq in minibatches[index]:
-            _train_sequence(network, seq, synapses, label_counts)
-        network.reset_context()
-        if spec.replay:
-            report = replay_episode(network, synapses, label_counts)
-            replay_steps += report.steps_applied
-        result = evaluate(network, label_counts, test)
-        now = time.perf_counter()
-        records.append(
-            _checkpoint_record(
-                spec,
-                trial,
-                index + 1,
-                network,
-                result,
-                category_order[: index + 1],
-                peaks,
-                replay_steps,
-                (now - last) * 1000.0,
-            )
-        )
-        last = now
-    snapshot = save_snapshot(network, synapses, label_counts) if with_snapshot else None
-    return _TrialOutput(records=records, snapshot=snapshot)
-
-
-def _run_batch_trial(spec: ProtocolSpec, dataset: Dataset, trial: int, with_snapshot: bool) -> _TrialOutput:
-    train, test = split_by_sessions(dataset, spec.test_sessions)
-    if train.num_frames == 0:
-        raise ValueError("train split is empty")
+def _trial_plan(spec: ProtocolSpec, train: Dataset, trial: int):
+    """Frames that seed the network, plus one (sequences, encountered
+    categories) entry per checkpoint: a category mini-batch for the
+    incremental protocol, a reshuffled epoch for batch."""
+    if spec.kind == INCREMENTAL:
+        category_order, minibatches = incremental_plan(spec, train, trial)
+        seed_frames = np.concatenate([s.features for s in minibatches[0]])
+        return seed_frames, [
+            (batch, category_order[: index + 1]) for index, batch in enumerate(minibatches)
+        ]
     rng = _trial_rng(spec, trial)
     sequences = train.sequences
     epoch_orders = [rng.permutation(len(sequences)) for _ in range(spec.epochs)]
-
     # the first presented batch is a full epoch, so static bounds and the
     # growing seed pair both come from the whole training split
-    network = _init_network(spec, train.dim, train.all_features(), trial)
+    categories = train.categories
+    return train.all_features(), [
+        ([sequences[i] for i in order], categories) for order in epoch_orders
+    ]
+
+
+def _run_trial(job) -> _TrialOutput:
+    """Train, optionally replay, and evaluate at every checkpoint of the plan."""
+    spec, dataset, trial, with_snapshot = job
+    train, test = split_by_sessions(dataset, spec.test_sessions)
+    if train.num_frames == 0:
+        raise ValueError("train split is empty")
+    seed_frames, checkpoints = _trial_plan(spec, train, trial)
+    network = _init_network(spec, train.dim, seed_frames, trial)
     synapses = TemporalSynapses()
     label_counts = LabelAssociations()
 
-    categories = train.categories
     records: list[MetricsRecord] = []
     peaks: dict[str, float] = {}
     replay_steps = 0
     last = time.perf_counter()
-    for epoch in range(spec.epochs):
-        for seq_index in epoch_orders[epoch]:
-            _train_sequence(network, sequences[seq_index], synapses, label_counts)
+    for checkpoint, (sequences, encountered) in enumerate(checkpoints, start=1):
+        for seq in sequences:
+            network.reset_context()
+            for frame in seq.features:
+                network.step(frame, seq.instance, synapses, label_counts)
         network.reset_context()
         if spec.replay:
-            report = replay_episode(network, synapses, label_counts)
-            replay_steps += report.steps_applied
+            replay_steps += replay_episode(network, synapses, label_counts).steps_applied
         result = evaluate(network, label_counts, test)
         now = time.perf_counter()
+        per_cat = {c: result.category_accuracy(c) for c in result.per_category}
+        for c in encountered:
+            if c in per_cat:
+                peaks[c] = max(peaks.get(c, 0.0), per_cat[c])
+        tracked = [c for c in encountered if c in peaks]
+        forgetting = (
+            sum(peaks[c] - per_cat[c] for c in tracked) / len(tracked) if tracked else 0.0
+        )
         records.append(
-            _checkpoint_record(
-                spec,
-                trial,
-                epoch + 1,
-                network,
-                result,
-                categories,
-                peaks,
-                replay_steps,
-                (now - last) * 1000.0,
+            MetricsRecord(
+                trial=trial,
+                checkpoint=checkpoint,
+                mode=spec.mode,
+                replay=spec.replay,
+                n_neurons=network.num_neurons,
+                acc_overall=result.overall,
+                acc_seen=result.subset_accuracy(encountered),
+                forgetting_mean=forgetting,
+                replay_steps=replay_steps,
+                wall_ms=(now - last) * 1000.0,
+                per_category=per_cat,
             )
         )
         last = now
     snapshot = save_snapshot(network, synapses, label_counts) if with_snapshot else None
     return _TrialOutput(records=records, snapshot=snapshot)
-
-
-def _trial_job(args) -> _TrialOutput:
-    spec, dataset, trial, with_snapshot = args
-    if spec.kind == BATCH:
-        return _run_batch_trial(spec, dataset, trial, with_snapshot)
-    return _run_incremental_trial(spec, dataset, trial, with_snapshot)
 
 
 @dataclass
@@ -349,16 +292,15 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run all trials of a protocol; record order is (trial, checkpoint)."""
     log.info(
-        "running %s/%s%s: %d trial(s), n_max=%d, %d workers",
-        spec.kind, spec.mode, "+replay" if spec.replay else "",
-        spec.trials, spec.n_max, workers,
+        "running %s: %d trial(s), n_max=%d, %d workers",
+        spec.label, spec.trials, spec.n_max, workers,
     )
     jobs = [(spec, dataset, trial, with_snapshots) for trial in range(spec.trials)]
     if workers <= 1 or spec.trials == 1:
-        outputs = [_trial_job(job) for job in jobs]
+        outputs = [_run_trial(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, spec.trials)) as pool:
-            outputs = list(pool.map(_trial_job, jobs))
+            outputs = list(pool.map(_run_trial, jobs))
     records: list[MetricsRecord] = []
     snapshots: dict[int, str] = {}
     for trial, output in enumerate(outputs):
@@ -366,18 +308,6 @@ def run_protocol(
         if output.snapshot is not None:
             snapshots[trial] = output.snapshot
     return ProtocolResult(spec=spec, records=records, snapshots=snapshots)
-
-
-def run_batch(spec: ProtocolSpec, dataset: Dataset, workers: int = 1) -> list[MetricsRecord]:
-    if spec.kind != BATCH:
-        raise ValueError("spec.kind must be 'batch'")
-    return run_protocol(spec, dataset, workers=workers).records
-
-
-def run_incremental(spec: ProtocolSpec, dataset: Dataset, workers: int = 1) -> list[MetricsRecord]:
-    if spec.kind != INCREMENTAL:
-        raise ValueError("spec.kind must be 'incremental'")
-    return run_protocol(spec, dataset, workers=workers).records
 
 
 # -- reporting ---------------------------------------------------------------
@@ -458,14 +388,9 @@ def summarize(spec: ProtocolSpec, records: list[MetricsRecord], config_echo=None
         by_checkpoint[str(cp)] = entry
     doc = {
         "protocol": {
-            "kind": spec.kind,
-            "mode": spec.mode,
-            "replay": spec.replay,
-            "n_max": spec.n_max,
-            "epochs": spec.epochs,
-            "trials": spec.trials,
-            "seed": spec.seed,
-            "test_sessions": list(spec.test_sessions),
+            f.name: list(v) if isinstance(v := getattr(spec, f.name), tuple) else v
+            for f in fields(ProtocolSpec)
+            if f.name != "hyper"
         },
         "checkpoints": checkpoints,
         "categories": categories,

@@ -19,12 +19,19 @@ from .model import Network
 
 
 class TemporalSynapses:
-    """Directed transition counts P(i, j): neuron i fired right before j."""
+    """Directed transition counts P(i, j): neuron i fired right before j.
 
-    def __init__(self):
+    ``rows`` restores counts from (prev_id, curr_id, count) triples as
+    :meth:`items` yields them.
+    """
+
+    def __init__(self, rows=()):
         # keyed by target so predecessor lookups, the only hot query, are O(1)
         self._pred: dict[int, dict[int, int]] = {}
         self._total = 0
+        for prev_id, curr_id, count in rows:
+            self._pred.setdefault(curr_id, {})[prev_id] = count
+            self._total += count
 
     def record(self, prev_id: int, curr_id: int) -> None:
         row = self._pred.setdefault(curr_id, {})
@@ -46,16 +53,6 @@ class TemporalSynapses:
             row = self._pred[curr_id]
             for prev_id in sorted(row):
                 yield prev_id, curr_id, row[prev_id]
-
-
-def record_transition(
-    network: Network, synapses: TemporalSynapses, prev_id: int, curr_id: int
-) -> None:
-    """Existence-checked transition recording."""
-    for neuron_id in (prev_id, curr_id):
-        if not network.has_neuron(neuron_id):
-            raise KeyError(f"no neuron with id {neuron_id}")
-    synapses.record(prev_id, curr_id)
 
 
 @dataclass

@@ -56,8 +56,19 @@ def save_snapshot(
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+class _Doc(dict):
+    """JSON object whose missing keys raise ValueError naming the key."""
+
+    def __missing__(self, key):
+        raise ValueError(f"snapshot has no {key!r} entry")
+
+
 def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociations]:
-    doc = json.loads(text)
+    """Rebuild the model from :func:`save_snapshot` output; malformed
+    documents raise ValueError."""
+    doc = json.loads(text, object_hook=_Doc)
+    if not isinstance(doc, dict):
+        raise ValueError("snapshot is not a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported snapshot schema version {version!r}")
@@ -77,17 +88,9 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
         network.connect(i, j)
     network.prev_bmu = doc["prev_bmu"]
     network.step_count = doc["step_count"]
-    network._query[1:] = np.array(doc["global_context"], dtype=float).reshape(
-        hyper.num_contexts, doc["dim"]
-    )
-    synapses = TemporalSynapses()
-    for prev_id, curr_id, count in doc["transitions"]:
-        row = synapses._pred.setdefault(curr_id, {})
-        row[prev_id] = count
-        synapses._total += count
-    label_counts = LabelAssociations()
-    for neuron_id, label, count in doc["label_counts"]:
-        label_counts._rows.setdefault(neuron_id, {})[label] = count
+    network.global_context = doc["global_context"]
+    synapses = TemporalSynapses(doc["transitions"])
+    label_counts = LabelAssociations(doc["label_counts"])
     label_counts.replay_records = doc["replay_label_records"]
     label_counts.total_records = doc["total_label_records"]
     return network, synapses, label_counts

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, outputs, config resolution."""
 
+import argparse
 import json
 
+from gwrnet import cli
 from gwrnet.cli import main
 
 TINY_GEN = [
@@ -137,6 +139,66 @@ def test_run_with_config_file_and_flag_override(tmp_path):
     assert summary["protocol"]["trials"] == 1
 
 
+def test_rerun_from_resolved_config_is_byte_identical(tmp_path):
+    data = gen_tiny(tmp_path)
+    _, first = run_tiny(tmp_path, data, "from_flags", ["--kappa", "1.1", "--snapshot"])
+    second = tmp_path / "from_config"
+    code = main(["run", "--config", str(first / "config.resolved.ini"), "--out", str(second)])
+    assert code == 0
+    for name in ("metrics.csv", "summary.json", "config.resolved.ini", "snapshots/trial_001.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_run_rejects_non_finite_features(tmp_path, capsys):
+    data = gen_tiny(tmp_path)
+    lines = data.read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[-1] = "nan"
+    lines[7] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    code, out = run_tiny(tmp_path, data, "nan_run")
+    assert code == 2
+    assert "line 8: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_and_config_key_sets_are_pinned():
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+    def flags(command):
+        return {s for a in sub.choices[command]._actions for s in a.option_strings} - {
+            "-h", "--help"
+        }
+
+    assert flags("run") == {
+        "--config", "--protocol", "--mode", "--replay", "--nmax", "--epochs",
+        "--trials", "--seed", "--test-sessions", "--data", "--data-seed",
+        "--insertion-threshold", "--habituation-threshold", "--tau-b", "--tau-n",
+        "--kappa", "--eps-b", "--eps-n", "--beta", "--contexts", "--alpha",
+        "--context-form", "--out", "--parallel-trials", "--snapshot", "--force",
+    }
+    assert flags("gen-data") == {
+        "--categories", "--instances", "--sessions", "--dim", "--frames",
+        "--cluster-spread", "--walk-step", "--noise", "--seed", "--out",
+    }
+    assert {name: set(keys) for name, keys in cli._SECTIONS.items()} == {
+        "model": {
+            "insertion_threshold", "habituation_threshold", "tau_b", "tau_n", "kappa",
+            "eps_b", "eps_n", "beta", "num_contexts", "alpha", "context_form",
+        },
+        "protocol": {
+            "kind", "mode", "replay", "n_max", "epochs", "trials", "seed", "test_sessions",
+        },
+        "dataset": {
+            "source", "path", "categories", "instances", "sessions", "dim",
+            "frames_per_seq", "cluster_spread", "walk_step", "noise", "data_seed",
+        },
+        "output": {"dir", "snapshot", "parallel_trials"},
+    }
+
+
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[protocol]\nmodee = growing\n")
@@ -196,6 +258,18 @@ def test_snapshot_dump(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mode=growing" in printed
     assert "neurons=" in printed
+
+
+def test_snapshot_dump_reports_missing_key(tmp_path, capsys):
+    data = gen_tiny(tmp_path)
+    _, out = run_tiny(tmp_path, data, "dump_bad", ["--snapshot"])
+    path = out / "snapshots" / "trial_000.json"
+    doc = json.loads(path.read_text())
+    del doc["hyper"]
+    path.write_text(json.dumps(doc))
+    code = main(["snapshot-dump", str(path)])
+    assert code == 2
+    assert "'hyper'" in capsys.readouterr().err
 
 
 def test_snapshot_dump_missing_file(tmp_path, capsys):

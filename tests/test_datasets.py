@@ -156,6 +156,20 @@ def test_loader_rejects_non_numeric_feature(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_loader_rejects_non_finite_feature(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "label_category,label_instance,session,sequence,frame,f0,f1\n"
+        "cat,cat_a,1,0,0,0.5,1.5\n"
+        "\n"
+        f"cat,cat_a,1,0,1,0.25,{cell}\n"
+        f"cat,cat_a,1,0,2,{cell},0.5\n"
+    )
+    with pytest.raises(FeatureFileError, match="line 4: non-finite"):
+        load_features(path)
+
+
 def test_split_by_sessions_partition():
     dataset = generate_synthetic(SyntheticSpec(), seed=2)
     train, test = split_by_sessions(dataset, [3, 7, 10])
@@ -191,10 +205,11 @@ def nearest_prototype_accuracy(dataset):
         means[name] = np.concatenate(rows).mean(axis=0)
     proto = np.stack([means[name] for name in instances])
     correct = 0
-    for frame in dataset.frames():
-        d = np.sum((proto - frame.features) ** 2, axis=1)
-        if instances[int(np.argmin(d))] == frame.instance:
-            correct += 1
+    for seq in dataset.sequences:
+        for row in seq.features:
+            d = np.sum((proto - row) ** 2, axis=1)
+            if instances[int(np.argmin(d))] == seq.instance:
+                correct += 1
     return correct / dataset.num_frames
 
 

@@ -401,7 +401,9 @@ def test_step_insertion_path():
     labels = LabelAssociations()
     out = net.step(np.array([4.0, 0.0]), "far", None, labels)
     assert out.inserted == 2
-    assert out.adapted_ids == []
+    # inserting replaces adaptation: the winner keeps its weight
+    assert np.array_equal(net.neuron(0).weight, [0.0, 0.0])
+    assert net.neuron(0).habituation == 0.05
     assert net.num_neurons == 3
     # label goes to the inserted neuron, not the winner
     assert labels.row(2) == {"far": 1}
@@ -424,7 +426,9 @@ def test_step_adaptation_path_wires_winner_pair():
     net = two_neuron_net()
     out = net.step(np.array([1.0, 1.0]))
     assert out.inserted is None
-    assert out.adapted_ids == [0]
+    # only the winner adapts: the runner-up was not yet its neighbor
+    assert np.allclose(net.neuron(0).weight, [0.5, 0.5], rtol=1e-12)
+    assert np.array_equal(net.neuron(1).weight, [5.0, 5.0])
     assert net.has_edge(0, 1)
     assert net.prev_bmu == 0
     assert net.step_count == 1

@@ -1,5 +1,7 @@
 """Experiment protocol orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,6 @@ from gwrnet.protocols import (
     forgetting_metrics,
     incremental_plan,
     metrics_census,
-    run_batch,
-    run_incremental,
     run_protocol,
     summarize,
     write_metrics_csv,
@@ -166,7 +166,7 @@ def test_incremental_minibatch_covers_all_category_sequences():
 def test_incremental_one_checkpoint_per_category():
     dataset = tiny_dataset()
     spec = tiny_spec()
-    records = run_incremental(spec, dataset)
+    records = run_protocol(spec, dataset).records
     checkpoints = sorted({r.checkpoint for r in records})
     assert checkpoints == [1, 2, 3]
     for trial in range(spec.trials):
@@ -186,7 +186,7 @@ def test_incremental_single_pass_over_training_frames():
 
 
 def test_incremental_growing_neuron_count_is_monotone():
-    records = run_incremental(tiny_spec(), tiny_dataset())
+    records = run_protocol(tiny_spec(), tiny_dataset()).records
     for trial in (0, 1):
         counts = [r.n_neurons for r in sorted(
             (x for x in records if x.trial == trial), key=lambda r: r.checkpoint)]
@@ -195,13 +195,13 @@ def test_incremental_growing_neuron_count_is_monotone():
 
 
 def test_incremental_static_keeps_capacity_count():
-    records = run_incremental(tiny_spec(mode="static"), tiny_dataset())
+    records = run_protocol(tiny_spec(mode="static"), tiny_dataset()).records
     assert all(r.n_neurons == 30 for r in records)
     assert all(r.replay_steps == 0 for r in records)
 
 
 def test_incremental_replay_reports_steps():
-    records = run_incremental(tiny_spec(replay=True), tiny_dataset())
+    records = run_protocol(tiny_spec(replay=True), tiny_dataset()).records
     finals = [r for r in records if r.checkpoint == 3]
     assert all(r.replay_steps > 0 for r in finals)
     for trial in (0, 1):
@@ -212,13 +212,13 @@ def test_incremental_replay_reports_steps():
 
 def test_trial_records_do_not_depend_on_trial_count():
     dataset = tiny_dataset()
-    two = run_incremental(tiny_spec(trials=2), dataset)
-    three = run_incremental(tiny_spec(trials=3), dataset)
+    two = run_protocol(tiny_spec(trials=2), dataset).records
+    three = run_protocol(tiny_spec(trials=3), dataset).records
     assert strip_wall([r for r in three if r.trial < 2]) == strip_wall(two)
 
 
 def test_acc_seen_tracks_encountered_categories():
-    records = run_incremental(tiny_spec(), tiny_dataset())
+    records = run_protocol(tiny_spec(), tiny_dataset()).records
     first = [r for r in records if r.trial == 0 and r.checkpoint == 1][0]
     # only one category encountered: its accuracy is the seen accuracy
     assert first.acc_seen >= first.acc_overall
@@ -229,13 +229,13 @@ def test_acc_seen_tracks_encountered_categories():
 
 def test_batch_one_record_per_epoch():
     spec = tiny_spec(kind="batch", epochs=4)
-    records = run_batch(spec, tiny_dataset())
+    records = run_protocol(spec, tiny_dataset()).records
     assert sorted({r.checkpoint for r in records}) == [1, 2, 3, 4]
 
 
 def test_batch_growing_neuron_count_monotone():
     spec = tiny_spec(kind="batch", epochs=4)
-    records = run_batch(spec, tiny_dataset())
+    records = run_protocol(spec, tiny_dataset()).records
     for trial in (0, 1):
         counts = [r.n_neurons for r in sorted(
             (x for x in records if x.trial == trial), key=lambda r: r.checkpoint)]
@@ -244,21 +244,24 @@ def test_batch_growing_neuron_count_monotone():
 
 def test_batch_static_constant_count():
     spec = tiny_spec(kind="batch", epochs=3, mode="static")
-    records = run_batch(spec, tiny_dataset())
+    records = run_protocol(spec, tiny_dataset()).records
     assert all(r.n_neurons == 30 for r in records)
 
 
 def test_batch_rerun_is_deterministic():
     spec = tiny_spec(kind="batch", epochs=3)
     dataset = tiny_dataset()
-    assert strip_wall(run_batch(spec, dataset)) == strip_wall(run_batch(spec, dataset))
+    first = run_protocol(spec, dataset).records
+    assert strip_wall(first) == strip_wall(run_protocol(spec, dataset).records)
 
 
 def test_batch_kind_guard():
+    # the kind selects the trial plan, so switching it on a finished spec
+    # must re-check the epoch count that goes with it
     with pytest.raises(ValueError):
-        run_batch(tiny_spec(), tiny_dataset())
+        replace(tiny_spec(), kind="batch")
     with pytest.raises(ValueError):
-        run_incremental(tiny_spec(kind="batch", epochs=2), tiny_dataset())
+        replace(tiny_spec(kind="batch", epochs=2), kind="incremental")
 
 
 # -- parallel execution -------------------------------------------------------------
@@ -312,7 +315,7 @@ def test_forgetting_needs_two_checkpoints():
 
 
 def test_metrics_csv_is_deterministic_and_excludes_wall_time(tmp_path):
-    records = run_incremental(tiny_spec(), tiny_dataset())
+    records = run_protocol(tiny_spec(), tiny_dataset()).records
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_metrics_csv(records, a)
     write_metrics_csv(records, b)

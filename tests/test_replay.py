@@ -5,12 +5,7 @@ import pytest
 
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import GROWING, HyperParams, Network, init_growing
-from gwrnet.replay import (
-    TemporalSynapses,
-    generate_rnat,
-    record_transition,
-    replay_episode,
-)
+from gwrnet.replay import TemporalSynapses, generate_rnat, replay_episode
 
 
 def make_net(num_neurons, dim=2, num_contexts=0, seed=0):
@@ -64,15 +59,6 @@ def test_record_is_directed():
     p = TemporalSynapses()
     p.record(1, 2)
     assert p.count(2, 1) == 0
-
-
-def test_record_transition_checks_ids():
-    net = make_net(3)
-    p = TemporalSynapses()
-    record_transition(net, p, 0, 2)
-    assert p.count(0, 2) == 1
-    with pytest.raises(KeyError):
-        record_transition(net, p, 0, 9)
 
 
 def test_self_transitions_are_counted():

@@ -1,5 +1,7 @@
 """Snapshot persistence: canonical bytes and exact training continuation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,30 @@ def test_prediction_ties_survive_round_trip():
     assert labels.predict(0) == "b"
     _, _, labels2 = load_snapshot(save_snapshot(net, synapses, labels))
     assert labels2.predict(0) == "b"
+
+
+def test_tuple_labels_survive_round_trip():
+    net, synapses, labels, _ = fresh_setup(3)
+    labels.record(0, ("cup", 2))
+    labels.record(1, ("cup", ("red", 1)))
+    text = save_snapshot(net, synapses, labels)
+    _, _, labels2 = load_snapshot(text)
+    assert labels2.predict(0) == ("cup", 2)
+    assert labels2.predict(1) == ("cup", ("red", 1))
+    assert save_snapshot(*load_snapshot(text)) == text
+
+
+@pytest.mark.parametrize("key", ["hyper", "neurons", "weight"])
+def test_missing_key_is_named(key):
+    net, synapses, labels, _ = fresh_setup(4)
+    text = save_snapshot(net, synapses, labels)
+    doc = json.loads(text)
+    if key == "weight":
+        del doc["neurons"][1][key]
+    else:
+        del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        load_snapshot(json.dumps(doc))
 
 
 def test_unsupported_schema_version_rejected():
