@@ -15,6 +15,14 @@ Two operating modes share the same learning dynamics:
 
 Transition counts and label histograms are bookkeeping side tables owned by
 the caller and passed into :meth:`Network.step`.
+
+Winner search is a screen plus an exact re-rank. The screen ranks every unit
+by ``||u||^2_alpha - 2 u . (alpha * q)``, one matrix-vector product over the
+units and a cached vector of their alpha-weighted squared norms. Every unit
+whose screened value lies within a floating-point error bound of the
+second-smallest one is then re-ranked with the full context-weighted distance.
+Winners, runners-up and winner distances are bit-identical to a full scan of
+that distance over all units, ties included.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ STATIC = "static"
 # comparison runs.
 CONTEXT_RECURSIVE = "recursive"
 CONTEXT_LITERAL = "literal"
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,26 @@ class Network:
         self._hab = np.ones(hyper.n_max)
         self._query = np.zeros((k + 1, dim))
         self._alpha = np.asarray(hyper.alpha, dtype=float)
+        self._alpha_col = self._alpha[:, None]
+        # _sqnorm[j] is unit j's alpha-weighted squared norm, kept in step
+        # with _units; _sqmax bounds every _sqnorm value ever held and never
+        # decreases. Both feed the screen in _nearest.
+        self._sqnorm = np.zeros(hyper.n_max)
+        self._sqmax = 0.0
+        m = (k + 1) * dim
+        self._screen_rel = 2.5 * (m + 4) * _UNIT_ROUNDOFF
+        self._screen_abs = (m + 4) * _SMALLEST_NORMAL
+        # eps, tau and tau*kappa by position in an adapt's [winner] + neighbors
+        self._learning = np.empty((3, hyper.n_max))
+        self._learning[:, 0] = (hyper.eps_b, hyper.tau_b, hyper.tau_b * hyper.kappa)
+        self._learning[:, 1:] = np.array(
+            [[hyper.eps_n], [hyper.tau_n], [hyper.tau_n * hyper.kappa]]
+        )
         self._adj: dict[int, set[int]] = {}
         self.num_neurons = 0
+        # the frame _iterate has validated; the public methods it calls
+        # recognise this exact object and skip validating it again
+        self._frame: Optional[np.ndarray] = None
 
     # -- introspection ----------------------------------------------------
 
@@ -218,24 +247,99 @@ class Network:
             raise KeyError(f"no neuron with id {neuron_id}")
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
+        if x is self._frame and x is not None:
+            return x
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"input shape {x.shape} does not match dimension {self.dim}")
+        if not np.isfinite(x).all():
+            raise ValueError("input frame has non-finite values")
         return x
+
+    def check_invariants(self) -> None:
+        """Raise RuntimeError naming every broken structural invariant:
+        symmetric adjacency without self-edges over exactly the neuron ids,
+        habituation in [0, 1], finite units, num_neurons <= n_max, and cached
+        norms equal to recomputed ones."""
+        n = self.num_neurons
+        problems = []
+        if not 0 <= n <= self.hyper.n_max:
+            problems.append(f"num_neurons {n} outside [0, {self.hyper.n_max}]")
+        if sorted(self._adj) != list(range(n)):
+            problems.append("adjacency is not keyed by the neuron ids")
+        for i, nbrs in self._adj.items():
+            if i in nbrs:
+                problems.append(f"self-edge at neuron {i}")
+            for j in nbrs:
+                if i not in self._adj.get(j, ()):
+                    problems.append(f"edge ({i}, {j}) is not symmetric")
+        hab = self._hab[:n]
+        if not ((hab >= 0.0) & (hab <= 1.0)).all():
+            problems.append("habituation outside [0, 1]")
+        units = self._units[:n]
+        if not np.isfinite(units).all():
+            problems.append("non-finite weight or context")
+        sqnorm = np.einsum("j,ijk,ijk->i", self._alpha, units, units)
+        if not np.array_equal(self._sqnorm[:n], sqnorm):
+            problems.append("cached unit norms are stale")
+        elif n and not self._sqmax >= sqnorm.max():
+            problems.append("norm bound is below a unit norm")
+        if problems:
+            raise RuntimeError("; ".join(problems))
 
     # -- matching ----------------------------------------------------------
 
     def _nearest(self, query: np.ndarray) -> tuple[int, int, float]:
         """Winner, runner-up and winner distance for a full [input, C_1..C_K]
-        query; ties resolve to the smaller neuron id."""
-        if self.num_neurons < 2:
+        query; ties resolve to the smaller neuron id. Bit-identical to
+        evaluating the einsum below over every unit."""
+        # Screen, then re-rank exactly. Write A_i = ||u_i||^2_alpha,
+        # Q = ||q||^2_alpha and P_i = u_i . (alpha * q), so the distance is
+        # d_i = A_i - 2 P_i + Q; the screen computes g_i = A_i - 2 P_i, as Q is
+        # the same for every row. With m = (K+1)*D terms, unit roundoff u and
+        # alpha >= 0, the standard dot-product error bounds give per row
+        #   |g_i - (d_i - Q)| <= (2m + 5) u (A_i + Q)   cached norm (m+1
+        #       roundings), GEMV (m+1, doubled) and the final addition;
+        #   |einsum_i - d_i| <= (2m + 6) u (A_i + Q)    as d_i <= 2 (A_i + Q).
+        # Let p1, p2 be the rows with the two smallest g. The exact winner or
+        # runner-up i is either one of them or has einsum_i <= einsum_p for
+        # one of them, so g_i <= g_p + 2 (both bounds) <= g_(2) + eps with
+        # eps = 10 (m + 4) u (M + Q) >= (8m + 22) u (M + Q) plus room for the
+        # roundings of eps, Q and the cutoff, where M >= every A_i. The
+        # (m + 4) * tiny term covers gradual underflow. Forming 4 (M + Q)
+        # first makes eps infinite before any distance can overflow, and a
+        # NaN cutoff keeps every row, so the re-rank then sees all units.
+        # The candidates always include p1 and p2.
+        n = self.num_neurons
+        if n < 2:
             raise RuntimeError("matching needs at least two neurons")
-        diff = self._units[: self.num_neurons] - query
+        units = self._units[:n]
+        weighted = (self._alpha_col * query).ravel()
+        g = units.reshape(n, -1) @ weighted
+        g *= -2.0
+        g += self._sqnorm[:n]
+        b = g.argmin()
+        g_b = g[b]
+        g[b] = np.inf
+        bound = (self._sqmax + float(weighted @ query.ravel())) * 4.0
+        cutoff = g[g.argmin()] + (bound * self._screen_rel + self._screen_abs)
+        g[b] = g_b
+        rows = np.flatnonzero(~(g > cutoff))
+        diff = units[rows] - query
         d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
-        b = int(np.argmin(d))
-        d_b = float(d[b])
-        d[b] = np.inf
-        return b, int(np.argmin(d)), d_b
+        w = d.argmin()
+        d_b = float(d[w])
+        d[w] = np.inf
+        return int(rows[w]), int(rows[d.argmin()]), d_b
+
+    def _store_norms(self, rows, units: np.ndarray) -> None:
+        """Cache the norms of ``units``, the current contents of ``rows``
+        (ids or a slice)."""
+        sqnorm = np.einsum("j,ijk,ijk->i", self._alpha, units, units)
+        self._sqnorm[rows] = sqnorm
+        top = float(sqnorm.max())
+        if not top <= self._sqmax:  # NaN also lands here and keeps every row
+            self._sqmax = top
 
     def _advance_context(self, query: np.ndarray, prev_bmu: Optional[int]) -> None:
         """Write C_1..C_K into query rows 1.. from the previous winner; zero
@@ -296,19 +400,20 @@ class Network:
         """Pull the winner and its neighbors toward the input and current
         context, then habituate them. Returns the touched ids."""
         self._check_id(bmu_id)
-        x = self._check_input(x)
-        hy = self.hyper
-        self._query[0] = x
-        h_b = self._hab[bmu_id]
-        self._units[bmu_id] += hy.eps_b * h_b * (self._query - self._units[bmu_id])
-        nbrs = sorted(self._adj[bmu_id])
-        if nbrs:
-            rates = (hy.eps_n * self._hab[nbrs])[:, None, None]
-            self._units[nbrs] += rates * (self._query - self._units[nbrs])
-        self._hab[bmu_id] = habituate(h_b, hy.tau_b, hy.kappa)
-        for n in nbrs:
-            self._hab[n] = habituate(self._hab[n], hy.tau_n, hy.kappa)
-        return [bmu_id] + nbrs
+        self._query[0] = self._check_input(x)
+        ids = [bmu_id] + sorted(self._adj[bmu_id])
+        rows = np.array(ids)
+        eps, tau, tau_kappa = self._learning[:, : len(ids)]
+        hab = self._hab[rows]
+        units = self._units[rows]
+        units += (eps * hab)[:, None, None] * (self._query - units)
+        self._units[rows] = units
+        self._store_norms(rows, units)
+        # habituate() elementwise, with the same operations in the same order
+        hab = hab + tau_kappa * (1.0 - hab)
+        hab -= tau
+        self._hab[rows] = np.minimum(np.maximum(hab, 0.0, out=hab), 1.0, out=hab)
+        return ids
 
     def connect(self, i: int, j: int) -> None:
         """Ensure the undirected edge {i, j} exists. Self-edges are rejected."""
@@ -329,6 +434,7 @@ class Network:
         """Insert a neuron halfway between winner and input when the activity
         and habituation gates both pass and capacity remains; rewires the
         winner pair through the new unit. Returns the new id, or None."""
+        x = self._check_input(x)
         if self.mode != GROWING:
             return None
         hy = self.hyper
@@ -338,30 +444,42 @@ class Network:
             return None
         if self.num_neurons >= hy.n_max:
             return None
-        x = self._check_input(x)
         self._query[0] = x
-        new_id = self.num_neurons
-        self._units[new_id] = 0.5 * (self._units[bmu_id] + self._query)
-        self._hab[new_id] = 1.0
-        self._adj[new_id] = set()
-        self.num_neurons += 1
+        unit = 0.5 * (self._units[bmu_id] + self._query)
+        (new_id,) = self._append_units(unit[None], 1.0)
         self.connect(new_id, bmu_id)
         self.connect(new_id, second_id)
         self._disconnect(bmu_id, second_id)
         return new_id
 
+    def _append_units(self, units: np.ndarray, habs) -> range:
+        """Append unconnected neurons from (count, num_contexts + 1, dim) rows
+        [weight, context_1..K] and their habituations; returns the new ids."""
+        units = np.asarray(units, dtype=float)
+        if units.ndim != 3 or units.shape[1:] != self._units.shape[1:]:
+            raise ValueError(
+                f"unit rows of shape {units.shape[1:]} do not match {self._units.shape[1:]}"
+            )
+        start = self.num_neurons
+        end = start + units.shape[0]
+        if end > self.hyper.n_max:
+            raise RuntimeError("capacity exhausted")
+        self._units[start:end] = units
+        self._hab[start:end] = habs
+        for new_id in range(start, end):
+            self._adj[new_id] = set()
+        self.num_neurons = end
+        if end > start:
+            self._store_norms(slice(start, end), self._units[start:end])
+        return range(start, end)
+
     def _append_neuron(
         self, weight: np.ndarray, contexts: np.ndarray, hab: float
     ) -> int:
-        if self.num_neurons >= self.hyper.n_max:
-            raise RuntimeError("capacity exhausted")
-        new_id = self.num_neurons
-        self._units[new_id, 0] = weight
-        self._units[new_id, 1:] = contexts
-        self._hab[new_id] = hab
-        self._adj[new_id] = set()
-        self.num_neurons += 1
-        return new_id
+        unit = np.empty((1,) + self._units.shape[1:])
+        unit[0, 0] = weight
+        unit[0, 1:] = contexts
+        return self._append_units(unit, hab)[0]
 
     # -- learning iterations --------------------------------------------------
 
@@ -383,18 +501,21 @@ class Network:
         return self._iterate(x, label, None, label_counts, replay=True)
 
     def _iterate(self, x, label, transitions, label_counts, replay: bool) -> StepOutcome:
-        x = self._check_input(x)
-        self._advance_context(self._query, self.prev_bmu)
-        bmu_id, second_id, d_b = self.find_bmu(x)
-        act = activity(d_b)
-        if transitions is not None and self.prev_bmu is not None:
-            transitions.record(self.prev_bmu, bmu_id)
-        inserted = None
-        if not replay:
-            inserted = self.maybe_insert(x, bmu_id, second_id, act)
-        if inserted is None:
-            self.adapt(bmu_id, x)
-            self.connect(bmu_id, second_id)
+        x = self._frame = self._check_input(x)
+        try:
+            self._advance_context(self._query, self.prev_bmu)
+            bmu_id, second_id, d_b = self.find_bmu(x)
+            act = activity(d_b)
+            if transitions is not None and self.prev_bmu is not None:
+                transitions.record(self.prev_bmu, bmu_id)
+            inserted = None
+            if not replay:
+                inserted = self.maybe_insert(x, bmu_id, second_id, act)
+            if inserted is None:
+                self.adapt(bmu_id, x)
+                self.connect(bmu_id, second_id)
+        finally:
+            self._frame = None
         if label_counts is not None and label is not None:
             credit = bmu_id if inserted is None else inserted
             label_counts.record(credit, label, replay=replay)
@@ -413,11 +534,13 @@ def init_growing(dim: int, hyper: HyperParams, first_two_inputs) -> Network:
     """Growing-mode network seeded with two neurons copying the given inputs."""
     a, b = first_two_inputs
     net = Network(dim, hyper, GROWING)
-    for vec in (a, b):
+    units = np.zeros((2, hyper.num_contexts + 1, dim))
+    for row, vec in zip(units, (a, b)):
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dim,):
             raise ValueError(f"seed input shape {vec.shape} does not match dimension {dim}")
-        net._append_neuron(vec, np.zeros((hyper.num_contexts, dim)), 1.0)
+        row[0] = vec
+    net._append_units(units, 1.0)
     return net
 
 
@@ -435,7 +558,7 @@ def init_static(
         raise ValueError("bounds_low must not exceed bounds_high")
     net = Network(dim, hyper, STATIC, rng_seed=seed)
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(low, high, size=(hyper.n_max, dim))
-    for row in weights:
-        net._append_neuron(row, np.zeros((hyper.num_contexts, dim)), 1.0)
+    units = np.zeros((hyper.n_max, hyper.num_contexts + 1, dim))
+    units[:, 0] = rng.uniform(low, high, size=(hyper.n_max, dim))
+    net._append_units(units, 1.0)
     return net

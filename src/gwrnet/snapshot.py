@@ -10,7 +10,7 @@ continues training exactly like the original.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -63,6 +63,70 @@ class _Doc(dict):
         raise ValueError(f"snapshot has no {key!r} entry")
 
 
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"snapshot {what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _floats(rows, shape: tuple, what: str) -> np.ndarray:
+    """Finite float array of exactly ``shape`` built from nested lists."""
+    try:
+        values = np.array(rows, dtype=float)
+        if values.size == 0:
+            values = values.reshape(shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"snapshot {what} are not numbers of shape {shape}") from None
+    if values.shape != shape:
+        raise ValueError(f"snapshot {what} have shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"snapshot {what} hold non-finite values")
+    return values
+
+
+def _table(rows, width: int, id_columns: int, num_neurons: int, what: str) -> np.ndarray:
+    """Integer rows of ``width`` columns: ``id_columns`` neuron ids that must
+    exist, then counts of at least 1."""
+    try:
+        table = np.array(rows)
+    except ValueError:
+        raise ValueError(f"snapshot {what} are not rows of {width} integers") from None
+    if table.size == 0:
+        return np.zeros((0, width), dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] != width or table.dtype.kind not in "iu":
+        raise ValueError(f"snapshot {what} are not rows of {width} integers")
+    ids, counts = table[:, :id_columns], table[:, id_columns:]
+    if ((ids < 0) | (ids >= num_neurons)).any():
+        raise ValueError(f"snapshot {what} name a neuron that does not exist")
+    if (counts < 1).any():
+        raise ValueError(f"snapshot {what} hold a count below 1")
+    return table
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"snapshot {what} are not a JSON list")
+    return value
+
+
+def _hyper(doc) -> HyperParams:
+    if not isinstance(doc, dict):
+        raise ValueError("snapshot hyper is not a JSON object")
+    hyper_doc = dict(doc)
+    names = [f.name for f in fields(HyperParams)]
+    unknown = sorted(set(hyper_doc) - set(names))
+    if unknown:
+        raise ValueError(f"snapshot hyper has unknown keys {unknown}")
+    for name in names:
+        if name not in hyper_doc:
+            raise ValueError(f"snapshot has no {name!r} entry")
+    try:
+        hyper_doc["alpha"] = tuple(hyper_doc["alpha"])
+        return HyperParams(**hyper_doc)
+    except TypeError as exc:
+        raise ValueError(f"snapshot hyper is malformed: {exc}") from None
+
+
 def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
     documents raise ValueError."""
@@ -72,27 +136,52 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported snapshot schema version {version!r}")
-    hyper_doc = dict(doc["hyper"])
-    hyper_doc["alpha"] = tuple(hyper_doc["alpha"])
-    hyper = HyperParams(**hyper_doc)
-    network = Network(doc["dim"], hyper, doc["mode"], rng_seed=doc["rng_seed"])
-    for entry in doc["neurons"]:
-        new_id = network._append_neuron(
-            np.array(entry["weight"], dtype=float),
-            np.array(entry["contexts"], dtype=float),
-            float(entry["habituation"]),
-        )
-        if new_id != entry["id"]:
-            raise ValueError(f"non-dense neuron ids: expected {new_id}, got {entry['id']}")
-    for i, j in doc["edges"]:
+    hyper = _hyper(doc["hyper"])
+    dim = _count(doc["dim"], "dim")
+    network = Network(dim, hyper, doc["mode"], rng_seed=_count(doc["rng_seed"], "rng_seed"))
+
+    neurons = _list(doc["neurons"], "neurons")
+    n, k = len(neurons), hyper.num_contexts
+    if n > hyper.n_max:
+        raise ValueError(f"snapshot holds {n} neurons, above n_max {hyper.n_max}")
+    for expected, entry in enumerate(neurons):
+        if not isinstance(entry, dict):
+            raise ValueError(f"snapshot neuron {expected} is not a JSON object")
+        if entry["id"] != expected:
+            raise ValueError(f"non-dense neuron ids: expected {expected}, got {entry['id']}")
+    units = np.empty((n, k + 1, dim))
+    units[:, 0] = _floats([e["weight"] for e in neurons], (n, dim), "weights")
+    units[:, 1:] = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
+    habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
+    if not ((habs >= 0.0) & (habs <= 1.0)).all():
+        raise ValueError("snapshot habituations must lie in [0, 1]")
+    network._append_units(units, habs)
+
+    edges = _table(doc["edges"], 2, 2, n, "edges")
+    if (edges[:, 0] == edges[:, 1]).any():
+        raise ValueError("snapshot edges hold a self-edge")
+    for i, j in edges.tolist():
         network.connect(i, j)
-    network.prev_bmu = doc["prev_bmu"]
-    network.step_count = doc["step_count"]
-    network.global_context = doc["global_context"]
-    synapses = TemporalSynapses(doc["transitions"])
-    label_counts = LabelAssociations(doc["label_counts"])
-    label_counts.replay_records = doc["replay_label_records"]
-    label_counts.total_records = doc["total_label_records"]
+    prev_bmu = doc["prev_bmu"]
+    if prev_bmu is not None and _count(prev_bmu, "prev_bmu") >= n:
+        raise ValueError(f"snapshot prev_bmu {prev_bmu} names a neuron that does not exist")
+    network.prev_bmu = prev_bmu
+    network.step_count = _count(doc["step_count"], "step_count")
+    network.global_context = _floats(doc["global_context"], (k, dim), "global context")
+
+    transitions = doc["transitions"]
+    _table(transitions, 3, 2, n, "transitions")
+    label_rows = _list(doc["label_counts"], "label_counts")
+    if not all(isinstance(row, list) and len(row) == 3 for row in label_rows):
+        raise ValueError("snapshot label_counts are not (neuron, label, count) rows")
+    _table([[row[0], row[2]] for row in label_rows], 2, 1, n, "label_counts")
+    synapses = TemporalSynapses(transitions)
+    try:
+        label_counts = LabelAssociations(label_rows)
+    except TypeError:
+        raise ValueError("snapshot label_counts hold an unhashable label") from None
+    label_counts.replay_records = _count(doc["replay_label_records"], "replay_label_records")
+    label_counts.total_records = _count(doc["total_label_records"], "total_label_records")
     return network, synapses, label_counts
 
 

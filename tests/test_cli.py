@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import re
+
+import pytest
 
 from gwrnet import cli
 from gwrnet.cli import main
@@ -270,6 +273,49 @@ def test_snapshot_dump_reports_missing_key(tmp_path, capsys):
     code = main(["snapshot-dump", str(path)])
     assert code == 2
     assert "'hyper'" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """Edit that sets doc[path[0]]...[path[-1]] = value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(["hyper", "gamma"], 0.5), "unknown keys"),
+        (_set(["hyper", "kappa"], "fast"), "hyper"),
+        (lambda doc: doc["edges"].append([0, 999]), "edges name a neuron"),
+        (lambda doc: doc["edges"].append([1, 1]), "self-edge"),
+        (lambda doc: doc["transitions"].append([0, 999, 1]), "transitions name a neuron"),
+        (lambda doc: doc["label_counts"].append([999, "x", 1]), "label_counts name a neuron"),
+        (_set(["neurons", 1, "habituation"], 7.5), r"\[0, 1\]"),
+        (_set(["neurons", 1, "weight", 0], float("nan")), "non-finite"),
+        (_set(["neurons", 1, "weight"], [1.0, 2.0]), "shape"),
+        (_set(["neurons", 1, "contexts"], [[0.0] * 6]), "shape"),
+        (_set(["global_context", 0, 0], float("inf")), "non-finite"),
+        (_set(["prev_bmu"], 999), "prev_bmu"),
+    ],
+    ids=[
+        "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
+        "transition-to-missing-neuron", "label-row-for-missing-neuron",
+        "habituation-out-of-range", "nan-weight", "short-weight", "missing-context-row",
+        "infinite-context", "prev-bmu-missing",
+    ],
+)
+def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):
+    data = gen_tiny(tmp_path)
+    _, out = run_tiny(tmp_path, data, "dump_bad", ["--snapshot"])
+    path = out / "snapshots" / "trial_000.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["snapshot-dump", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_snapshot_dump_missing_file(tmp_path, capsys):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwrnet.labeling import LabelAssociations
@@ -111,7 +111,7 @@ def test_find_bmu_needs_two_neurons():
         net.find_bmu(np.zeros(2))
 
 
-def test_find_bmu_matches_brute_force_scan():
+def test_find_bmu_matches_brute_force_scan(full_scan):
     rng = np.random.default_rng(7)
     for _ in range(100):
         dim = int(rng.integers(1, 9))
@@ -130,13 +130,136 @@ def test_find_bmu_matches_brute_force_scan():
         query = np.concatenate((x[None], net._query[1:]), axis=0)
         want = brute_force_bmu(net._units[:n], alpha, query)
         assert got[0] == want[0] and got[1] == want[1]
-        assert got[2] == pytest.approx(want[2], rel=1e-12)
+        assert got == full_scan(net, query)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 6),
+    k=st.integers(0, 2),
+    zero_alpha=st.lists(st.booleans(), min_size=3, max_size=3),
+    offset=st.sampled_from([0.0, 1e6, -1e6]),
+    duplicates=st.integers(0, 5),
+    ulp_apart=st.integers(0, 5),
+    query_on_unit=st.booleans(),
+)
+@example(seed=0, n=2, dim=1, k=0, zero_alpha=[False] * 3, offset=0.0,
+         duplicates=0, ulp_apart=0, query_on_unit=False)
+@example(seed=1, n=2, dim=3, k=2, zero_alpha=[False, True, False], offset=1e6,
+         duplicates=1, ulp_apart=0, query_on_unit=True)
+def test_screened_nearest_equals_full_scan(
+    full_scan, seed, n, dim, k, zero_alpha, offset, duplicates, ulp_apart, query_on_unit
+):
+    """Winner, runner-up and distance are bit-identical to the einsum scan,
+    also for duplicated rows, rows 1 ulp apart, large offsets (the worst case
+    for the screen's cancellation) and zero alpha entries."""
+    rng = np.random.default_rng(seed)
+    alpha = tuple(0.0 if zero else float(rng.uniform(0.05, 1.0))
+                  for zero in zero_alpha[: k + 1])
+    hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=n)
+    units = offset + rng.normal(size=(n, k + 1, dim))
+    for _ in range(duplicates):
+        i, j = rng.integers(0, n, size=2)
+        units[i] = units[j]
+    for _ in range(ulp_apart):
+        i, j = rng.integers(0, n, size=2)
+        units[i] = np.nextafter(units[j], np.inf)
+    net = Network(dim, hyper, GROWING)
+    net._append_units(units, 1.0)
+    query = units[rng.integers(0, n)].copy() if query_on_unit else (
+        offset + rng.normal(size=(k + 1, dim))
+    )
+    assert net._nearest(query) == full_scan(net, query)
+    net.check_invariants()
+
+
+def test_einsum_rows_are_bitwise_equal_on_a_row_subset():
+    """The exact re-rank and the norm cache evaluate the distance einsum on a
+    few rows; each row must come out as in an einsum over all rows."""
+    rng = np.random.default_rng(3)
+    alpha = np.array([0.67, 0.24, 0.09])
+    for n in (300, 2500):
+        units = rng.normal(size=(n, 3, 16)) * rng.uniform(0.5, 20.0, size=(n, 1, 1))
+        query = rng.normal(size=(3, 16))
+        diff = units - query
+        full = np.einsum("j,ijk,ijk->i", alpha, diff, diff)
+        norms = np.einsum("j,ijk,ijk->i", alpha, units, units)
+        for size in (1, 2, 3, 5, 17, 64):
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            sub = units[rows] - query
+            assert np.array_equal(np.einsum("j,ijk,ijk->i", alpha, sub, sub), full[rows])
+            assert np.array_equal(
+                np.einsum("j,ijk,ijk->i", alpha, units[rows], units[rows]), norms[rows]
+            )
 
 
 def test_find_bmu_breaks_ties_by_smaller_id():
     net = two_neuron_net(w0=(1.0, 1.0), w1=(1.0, 1.0))
     b, s, _ = net.find_bmu(np.array([0.0, 0.0]))
     assert (b, s) == (0, 1)
+
+
+# -- input validation and invariants ----------------------------------------------
+
+
+def _trained_net():
+    rng = np.random.default_rng(2)
+    hyper = HyperParams(num_contexts=2, alpha=(0.67, 0.24, 0.09), n_max=15)
+    net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
+    for i, x in enumerate(rng.normal(size=(150, 3)) * 2):
+        if i % 11 == 0:
+            net.reset_context()
+        net.step(x)
+    return net
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, x: net.step(x),
+        lambda net, x: net.replay_step(x),
+        lambda net, x: net.find_bmu(x),
+        lambda net, x: net.match(x, net.new_match_context()),
+        lambda net, x: net.adapt(0, x),
+        lambda net, x: net.maybe_insert(x, 0, 1, 0.0),
+        lambda net, x: net.distance(0, x),
+    ],
+    ids=["step", "replay_step", "find_bmu", "match", "adapt", "maybe_insert", "distance"],
+)
+def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
+    net = _trained_net()
+    net._hab[0] = 0.01  # open the insertion gate for maybe_insert
+    before = (net._units.copy(), net._hab.copy(), net._sqnorm.copy(), net.global_context)
+    x = np.array([0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        call(net, x)
+    assert np.array_equal(net._units, before[0])
+    assert np.array_equal(net._hab, before[1])
+    assert np.array_equal(net._sqnorm, before[2])
+    assert np.array_equal(net.global_context, before[3])
+    net.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda net: net._adj[0].add(0), "self-edge"),
+        (lambda net: net._adj[0].discard(net.neighbors(0)[0]), "not symmetric"),
+        (lambda net: net._hab.__setitem__(1, 1.5), "habituation"),
+        (lambda net: net._units.__setitem__((1, 0, 0), np.nan), "non-finite"),
+        (lambda net: net._units.__setitem__((1, 0, 0), 3.0), "stale"),
+    ],
+    ids=["self-edge", "one-sided-edge", "habituation", "non-finite", "stale-norm"],
+)
+def test_check_invariants_names_each_violation(corrupt, message):
+    net = _trained_net()
+    net.check_invariants()
+    corrupt(net)
+    with pytest.raises(RuntimeError, match=message):
+        net.check_invariants()
 
 
 # -- global context ------------------------------------------------------------

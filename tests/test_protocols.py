@@ -340,3 +340,46 @@ def test_summarize_mean_and_std():
     assert cell["mean"] == pytest.approx(0.7)
     assert cell["std"] == pytest.approx(0.1)
     assert doc["by_checkpoint"]["1"]["acc_a"]["mean"] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--protocol", "incremental", "--mode", "growing", "--replay", "--nmax", "40"],
+        ["--protocol", "batch", "--epochs", "2", "--mode", "static", "--nmax", "150"],
+    ],
+    ids=["incremental-growing-replay", "batch-static"],
+)
+def test_screened_matching_matches_full_scan_end_to_end(tmp_path, monkeypatch, full_scan, flags):
+    """A run with the shipped kernel and one with the full-scan reference
+    write the same metrics.csv and snapshot bytes, and the network's
+    invariants hold after training and after loading the snapshot."""
+    from gwrnet import cli, protocols
+    from gwrnet.datasets import write_features
+    from gwrnet.model import Network
+
+    data = tmp_path / "data.csv"
+    write_features(tiny_dataset(), data)
+    trained = []
+
+    def checked_save(network, synapses, label_counts):
+        network.check_invariants()
+        trained.append(network)
+        return save(network, synapses, label_counts)
+
+    save = protocols.save_snapshot
+    monkeypatch.setattr(protocols, "save_snapshot", checked_save)
+    outputs = {}
+    for kernel in ("screened", "full_scan"):
+        if kernel == "full_scan":
+            monkeypatch.setattr(Network, "_nearest", full_scan)
+        out = tmp_path / kernel
+        argv = ["run", "--data", str(data), "--trials", "2", "--seed", "4",
+                "--test-sessions", "2", "--out", str(out), "--snapshot"]
+        assert cli.main(argv + flags) == 0
+        snapshots = sorted((out / "snapshots").iterdir())
+        outputs[kernel] = [(out / "metrics.csv").read_bytes()] + [p.read_bytes() for p in snapshots]
+        for path in snapshots:
+            load_snapshot(path.read_text())[0].check_invariants()
+    assert len(trained) == 4
+    assert outputs["screened"] == outputs["full_scan"]

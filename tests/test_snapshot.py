@@ -99,6 +99,18 @@ def test_tuple_labels_survive_round_trip():
     assert save_snapshot(*load_snapshot(text)) == text
 
 
+def test_round_trip_without_contexts():
+    rng = np.random.default_rng(6)
+    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=12)
+    net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
+    synapses, labels = TemporalSynapses(), LabelAssociations()
+    train_some(net, synapses, labels, rng.normal(size=(60, 3)) * 2)
+    text = save_snapshot(net, synapses, labels)
+    loaded = load_snapshot(text)
+    loaded[0].check_invariants()
+    assert save_snapshot(*loaded) == text
+
+
 @pytest.mark.parametrize("key", ["hyper", "neurons", "weight"])
 def test_missing_key_is_named(key):
     net, synapses, labels, _ = fresh_setup(4)
