@@ -39,7 +39,7 @@ from .protocols import (
 from .snapshot import load_snapshot_file
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -87,9 +87,17 @@ _SECTIONS = {
     "dataset": {"source": str, "path": str, **_SYNTHETIC_KEYS, "data_seed": int},
     "output": {"dir": str, "snapshot": _parse_bool, "parallel_trials": int},
 }
-# flags whose spelling predates the field names; every other field flag is
-# the field name with dashes
-_FLAG_NAMES = {"n_max": "--nmax", "num_contexts": "--contexts", "kind": "--protocol"}
+# `run` flags not spelled as the key with dashes; None marks a key only the
+# config file sets (`--data` implies source = file), and the synthetic spec
+# keys are gen-data's flags
+_FLAG_NAMES = {
+    "n_max": "--nmax",
+    "num_contexts": "--contexts",
+    "kind": "--protocol",
+    "source": None,
+    "path": "--data",
+    "dir": "--out",
+}
 _GEN_FLAG_NAMES = {"frames_per_seq": "--frames"}
 
 
@@ -131,10 +139,10 @@ def _format_value(value) -> str:
 
 def _echo_config(path: Path, sections: dict[str, dict]) -> None:
     lines = []
-    for name in ("model", "protocol", "dataset", "output"):
+    for name, section in sections.items():
         lines.append(f"[{name}]")
-        for key in sorted(sections[name]):
-            lines.append(f"{key} = {_format_value(sections[name][key])}")
+        for key in sorted(section):
+            lines.append(f"{key} = {_format_value(section[key])}")
         lines.append("")
     path.write_text("\n".join(lines), encoding="utf-8")
 
@@ -184,24 +192,13 @@ def _build_dataset(data_cfg: dict) -> tuple[Dataset, dict]:
 def _cmd_run(args) -> int:
     config = _load_config(args.config) if args.config else {s: {} for s in _SECTIONS}
 
-    hyper_cfg = _resolve(config["model"], {k: getattr(args, k) for k in _HYPER_KEYS})
-    proto_cfg = _resolve(config["protocol"], {k: getattr(args, k) for k in _PROTOCOL_KEYS})
-    data_cfg = _resolve(
-        config["dataset"],
-        {
-            "source": "file" if args.data else None,
-            "path": args.data,
-            "data_seed": args.data_seed,
-        },
+    flags = vars(args)
+    hyper_cfg, proto_cfg, data_cfg, out_cfg = (
+        _resolve(config[name], {k: flags.get(k) for k in keys})
+        for name, keys in _SECTIONS.items()
     )
-    out_cfg = _resolve(
-        config["output"],
-        {
-            "dir": args.out,
-            "snapshot": True if args.snapshot else None,
-            "parallel_trials": args.parallel_trials,
-        },
-    )
+    if args.path:
+        data_cfg["source"] = "file"
 
     out_dir = out_cfg.get("dir")
     if not out_dir:
@@ -357,10 +354,13 @@ def _cmd_snapshot_dump(args) -> int:
 
 
 def _add_field_flags(parser, defaults, keys: dict, renamed: dict) -> None:
-    """One flag per config key; without ``defaults`` an unset flag stays None
-    so config-file values and dataclass defaults show through."""
+    """One flag per config key, except keys ``renamed`` maps to None; without
+    ``defaults`` an unset flag stays None so config-file values and dataclass
+    defaults show through."""
     for key, parse in keys.items():
         flag = renamed.get(key, "--" + key.replace("_", "-"))
+        if flag is None:
+            continue
         default = getattr(defaults, key) if defaults is not None else None
         if parse is _parse_bool:
             parser.add_argument(flag, dest=key, action="store_true", default=default)
@@ -383,13 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a training protocol")
     run.add_argument("--config", help="INI configuration file")
-    _add_field_flags(run, None, _PROTOCOL_KEYS, _FLAG_NAMES)
-    run.add_argument("--data", help="feature CSV path (default: synthetic data)")
-    run.add_argument("--data-seed", type=int)
-    _add_field_flags(run, None, _HYPER_KEYS, _FLAG_NAMES)
-    run.add_argument("--out")
-    run.add_argument("--parallel-trials", type=int)
-    run.add_argument("--snapshot", action="store_true", default=None)
+    for keys in _SECTIONS.values():
+        flag_keys = {k: parse for k, parse in keys.items() if k not in _SYNTHETIC_KEYS}
+        _add_field_flags(run, None, flag_keys, _FLAG_NAMES)
     run.add_argument("--force", action="store_true")
     run.set_defaults(func=_cmd_run)
 
@@ -411,9 +407,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

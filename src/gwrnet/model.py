@@ -36,14 +36,6 @@ import numpy as np
 GROWING = "growing"
 STATIC = "static"
 
-# How the global context is advanced from the previous winner: "recursive"
-# blends the winner's weight with its next-shallower descriptor (depth-k
-# contexts see k steps back); "literal" blends with the same-depth
-# descriptor, which makes all depths evolve identically and exists only for
-# comparison runs.
-CONTEXT_RECURSIVE = "recursive"
-CONTEXT_LITERAL = "literal"
-
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
@@ -68,7 +60,6 @@ class HyperParams:
     num_contexts: int = 2
     alpha: tuple[float, ...] = (0.67, 0.24, 0.09)
     n_max: int = 2500
-    context_form: str = CONTEXT_RECURSIVE
 
     def __post_init__(self):
         if not 0.0 < self.insertion_threshold < 1.0:
@@ -83,6 +74,9 @@ class HyperParams:
             raise ValueError("need 0 < eps_n < eps_b < 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
+        for name in ("num_contexts", "n_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.num_contexts < 0:
             raise ValueError("num_contexts must be nonnegative")
         if len(self.alpha) != self.num_contexts + 1:
@@ -93,8 +87,6 @@ class HyperParams:
             raise ValueError("alpha entries must be nonnegative")
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
-        if self.context_form not in (CONTEXT_RECURSIVE, CONTEXT_LITERAL):
-            raise ValueError(f"unknown context_form {self.context_form!r}")
 
 
 @dataclass
@@ -125,13 +117,13 @@ def activity(d_b: float) -> float:
     return math.exp(-d_b)
 
 
-def habituate(h: float, tau: float, kappa: float) -> float:
-    """One habituation update, clamped to [0, 1].
+def habituate(h, tau, kappa):
+    """One habituation update, clamped to [0, 1]; elementwise on arrays.
 
     The update h + tau*kappa*(1-h) - tau decays h monotonically toward the
     fixed point 1 - 1/kappa when starting above it.
     """
-    return min(1.0, max(0.0, h + tau * kappa * (1.0 - h) - tau))
+    return np.minimum(np.maximum(h + tau * kappa * (1.0 - h) - tau, 0.0), 1.0)
 
 
 @dataclass
@@ -188,12 +180,10 @@ class Network:
         m = (k + 1) * dim
         self._screen_rel = 2.5 * (m + 4) * _UNIT_ROUNDOFF
         self._screen_abs = (m + 4) * _SMALLEST_NORMAL
-        # eps, tau and tau*kappa by position in an adapt's [winner] + neighbors
-        self._learning = np.empty((3, hyper.n_max))
-        self._learning[:, 0] = (hyper.eps_b, hyper.tau_b, hyper.tau_b * hyper.kappa)
-        self._learning[:, 1:] = np.array(
-            [[hyper.eps_n], [hyper.tau_n], [hyper.tau_n * hyper.kappa]]
-        )
+        # eps and tau by position in an adapt's [winner] + neighbors
+        self._learning = np.empty((2, hyper.n_max))
+        self._learning[:, 0] = (hyper.eps_b, hyper.tau_b)
+        self._learning[:, 1:] = np.array([[hyper.eps_n], [hyper.tau_n]])
         self._adj: dict[int, set[int]] = {}
         self.num_neurons = 0
         # the frame _iterate has validated; the public methods it calls
@@ -234,6 +224,15 @@ class Network:
             contexts=self._units[neuron_id, 1:].copy(),
             habituation=float(self._hab[neuron_id]),
         )
+
+    def unit_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of every neuron's [weight, context_1..K] rows,
+        shape (num_neurons, num_contexts + 1, dim), and of their
+        habituations; valid until the network changes."""
+        n = self.num_neurons
+        units, habs = self._units[:n], self._hab[:n]
+        units.flags.writeable = habs.flags.writeable = False
+        return units, habs
 
     def neighbors(self, neuron_id: int) -> list[int]:
         self._check_id(neuron_id)
@@ -348,14 +347,10 @@ class Network:
             query[1:] = 0.0
             return
         unit = self._units[prev_bmu]
-        k = self.hyper.num_contexts
         beta = self.hyper.beta
-        if self.hyper.context_form == CONTEXT_RECURSIVE:
-            # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
-            # unit[0:k] is exactly [c_{b,0}, ..., c_{b,K-1}].
-            query[1:] = beta * unit[0] + (1.0 - beta) * unit[0:k]
-        else:
-            query[1:] = beta * unit[0] + (1.0 - beta) * unit[1 : k + 1]
+        # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
+        # unit[0:K] is exactly [c_{b,0}, ..., c_{b,K-1}].
+        query[1:] = beta * unit[0] + (1.0 - beta) * unit[: self.hyper.num_contexts]
 
     def distance(self, neuron_id: int, x: np.ndarray) -> float:
         """Context-weighted squared distance between a neuron and an input."""
@@ -403,16 +398,13 @@ class Network:
         self._query[0] = self._check_input(x)
         ids = [bmu_id] + sorted(self._adj[bmu_id])
         rows = np.array(ids)
-        eps, tau, tau_kappa = self._learning[:, : len(ids)]
+        eps, tau = self._learning[:, : len(ids)]
         hab = self._hab[rows]
         units = self._units[rows]
         units += (eps * hab)[:, None, None] * (self._query - units)
         self._units[rows] = units
         self._store_norms(rows, units)
-        # habituate() elementwise, with the same operations in the same order
-        hab = hab + tau_kappa * (1.0 - hab)
-        hab -= tau
-        self._hab[rows] = np.minimum(np.maximum(hab, 0.0, out=hab), 1.0, out=hab)
+        self._hab[rows] = habituate(hab, tau, self.hyper.kappa)
         return ids
 
     def connect(self, i: int, j: int) -> None:

@@ -19,6 +19,9 @@ from .model import HyperParams, Network
 from .replay import TemporalSynapses
 
 SCHEMA_VERSION = 1
+# Schema 1 ends the hyper block with the temporal context rule; the model
+# implements only the recursive Gamma-GWR rule, so the entry is fixed.
+CONTEXT_FORM = "recursive"
 
 
 def save_snapshot(
@@ -26,17 +29,11 @@ def save_snapshot(
     synapses: TemporalSynapses,
     label_counts: LabelAssociations,
 ) -> str:
-    neurons = []
-    for neuron_id in network.neuron_ids:
-        unit = network.neuron(neuron_id)
-        neurons.append(
-            {
-                "id": neuron_id,
-                "weight": unit.weight.tolist(),
-                "contexts": unit.contexts.tolist(),
-                "habituation": unit.habituation,
-            }
-        )
+    units, habs = network.unit_table()
+    neurons = [
+        {"id": neuron_id, "weight": unit[0], "contexts": unit[1:], "habituation": hab}
+        for neuron_id, (unit, hab) in enumerate(zip(units.tolist(), habs.tolist()))
+    ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "mode": network.mode,
@@ -44,7 +41,7 @@ def save_snapshot(
         "rng_seed": network.rng_seed,
         "step_count": network.step_count,
         "prev_bmu": network.prev_bmu,
-        "hyper": asdict(network.hyper),
+        "hyper": {**asdict(network.hyper), "context_form": CONTEXT_FORM},
         "global_context": network.global_context.tolist(),
         "neurons": neurons,
         "edges": [list(edge) for edge in network.edges],
@@ -70,9 +67,10 @@ def _count(value, what: str) -> int:
 
 
 def _floats(rows, shape: tuple, what: str) -> np.ndarray:
-    """Finite float array of exactly ``shape`` built from nested lists."""
+    """Finite float array of exactly ``shape`` built from nested lists of
+    numbers; strings and nulls are not numbers."""
     try:
-        values = np.array(rows, dtype=float)
+        values = np.array(rows).astype(float, casting="safe", copy=False)
         if values.size == 0:
             values = values.reshape(shape)
     except (TypeError, ValueError):
@@ -113,6 +111,9 @@ def _hyper(doc) -> HyperParams:
     if not isinstance(doc, dict):
         raise ValueError("snapshot hyper is not a JSON object")
     hyper_doc = dict(doc)
+    form = hyper_doc.pop("context_form", None)
+    if form != CONTEXT_FORM:
+        raise ValueError(f"snapshot hyper 'context_form' must be {CONTEXT_FORM!r}, got {form!r}")
     names = [f.name for f in fields(HyperParams)]
     unknown = sorted(set(hyper_doc) - set(names))
     if unknown:

@@ -180,7 +180,7 @@ def test_flag_and_config_key_sets_are_pinned():
         "--trials", "--seed", "--test-sessions", "--data", "--data-seed",
         "--insertion-threshold", "--habituation-threshold", "--tau-b", "--tau-n",
         "--kappa", "--eps-b", "--eps-n", "--beta", "--contexts", "--alpha",
-        "--context-form", "--out", "--parallel-trials", "--snapshot", "--force",
+        "--out", "--parallel-trials", "--snapshot", "--force",
     }
     assert flags("gen-data") == {
         "--categories", "--instances", "--sessions", "--dim", "--frames",
@@ -189,7 +189,7 @@ def test_flag_and_config_key_sets_are_pinned():
     assert {name: set(keys) for name, keys in cli._SECTIONS.items()} == {
         "model": {
             "insertion_threshold", "habituation_threshold", "tau_b", "tau_n", "kappa",
-            "eps_b", "eps_n", "beta", "num_contexts", "alpha", "context_form",
+            "eps_b", "eps_n", "beta", "num_contexts", "alpha",
         },
         "protocol": {
             "kind", "mode", "replay", "n_max", "epochs", "trials", "seed", "test_sessions",
@@ -299,12 +299,20 @@ def _set(path, value):
         (_set(["neurons", 1, "contexts"], [[0.0] * 6]), "shape"),
         (_set(["global_context", 0, 0], float("inf")), "non-finite"),
         (_set(["prev_bmu"], 999), "prev_bmu"),
+        (_set(["hyper", "num_contexts"], 2.0), "num_contexts must be an int"),
+        (_set(["hyper", "n_max"], 20.0), "n_max must be an int"),
+        (_set(["neurons", 1, "habituation"], "0.5"), "habituations are not numbers"),
+        (_set(["neurons", 1, "weight", 0], "0.5"), "weights are not numbers"),
+        (lambda doc: doc["hyper"].pop("context_form"), "'context_form'"),
+        (_set(["hyper", "context_form"], "literal"), "'context_form' must be 'recursive'"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
         "transition-to-missing-neuron", "label-row-for-missing-neuron",
         "habituation-out-of-range", "nan-weight", "short-weight", "missing-context-row",
-        "infinite-context", "prev-bmu-missing",
+        "infinite-context", "prev-bmu-missing", "float-num-contexts", "float-n-max",
+        "string-habituation", "string-weight-cell", "context-form-missing",
+        "context-form-literal",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

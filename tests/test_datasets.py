@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwrnet.datasets import (
     FeatureFileError,
@@ -231,3 +233,50 @@ def test_small_spread_data_is_separable_by_nearest_prototype():
 def test_default_benchmark_is_separable_by_nearest_prototype():
     dataset = generate_synthetic(SyntheticSpec(), seed=1)
     assert nearest_prototype_accuracy(dataset) > 0.95
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+_FUZZ_CSV = (
+    "label_category,label_instance,session,sequence,frame,f0,f1\n"
+    "cat,cat_a,1,0,0,0.5,1.5\n"
+    "cat,cat_a,1,0,1,0.25,1.25\n"
+    "dog,dog_a,1,1,0,-1.0,2.0\n"
+    "dog,dog_a,2,2,0,-1.5,2.5\n"
+    "dog,dog_a,2,2,1,-1.25,2.25\n"
+)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+_CELLS = st.sampled_from(["", "0", "-1", "2", "1.5", "nan", "inf", "1e400", "x", " 3"]) | _TEXT
+
+
+@st.composite
+def _edited_csv(draw):
+    """``_FUZZ_CSV`` with one line edited: replaced by drawn text, one of
+    its cells replaced, deleted, or duplicated."""
+    lines = _FUZZ_CSV.splitlines()
+    index = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["line", "cell", "delete", "duplicate"]))
+    if edit == "line":
+        lines[index] = draw(_TEXT)
+    elif edit == "cell":
+        cells = lines[index].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELLS)
+        lines[index] = ",".join(cells)
+    elif edit == "delete":
+        del lines[index]
+    else:
+        lines.insert(index, lines[index])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_csv())
+def test_fuzzed_feature_csv_loads_or_raises_feature_file_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        dataset = load_features(path)
+    except FeatureFileError:
+        return
+    frames = dataset.all_features()
+    assert frames.shape[1] == dataset.dim and np.isfinite(frames).all()

@@ -287,17 +287,6 @@ def test_context_depth_two_blends_weight_with_first_descriptor():
     assert np.allclose(ctx[1], [0.7, 0.0], rtol=1e-12)
 
 
-def test_context_literal_form_uses_same_depth_descriptor():
-    hyper = HyperParams(n_max=10, context_form="literal")
-    net = init_growing(2, hyper, (np.array([1.0, 0.0]), np.ones(2)))
-    net._units[0, 1] = np.array([0.5, 0.5])  # c_{b,1}
-    net._units[0, 2] = np.array([0.0, 1.0])  # c_{b,2}
-    net.prev_bmu = 0
-    ctx = net.update_global_context()
-    assert np.allclose(ctx[0], 0.7 * np.array([1.0, 0.0]) + 0.3 * np.array([0.5, 0.5]))
-    assert np.allclose(ctx[1], 0.7 * np.array([1.0, 0.0]) + 0.3 * np.array([0.0, 1.0]))
-
-
 def test_reset_context_clears_stack_and_winner():
     net = init_growing(2, HyperParams(n_max=10), (np.ones(2), np.zeros(2)))
     net.step(np.ones(2))
@@ -346,6 +335,12 @@ def test_habituate_fixed_point():
 
 def test_habituate_mid_value():
     assert habituate(0.5, 0.1, 1.05) == pytest.approx(0.4525, rel=1e-12)
+
+
+def test_habituate_is_elementwise_on_arrays():
+    h, tau = np.array([0.5, 1.0, 0.01]), np.array([0.1, 0.3, 0.3])
+    expected = [habituate(a, b, 1.05) for a, b in zip(h.tolist(), tau.tolist())]
+    assert habituate(h, tau, 1.05).tolist() == expected
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.3])
@@ -674,7 +669,9 @@ def test_hyperparams_reference_defaults():
         {"num_contexts": 1},  # alpha length mismatch
         {"alpha": (0.5, -0.1, 0.1)},
         {"n_max": 1},
-        {"context_form": "other"},
+        pytest.param({"num_contexts": 2.0}, id="float-num-contexts"),
+        pytest.param({"n_max": 20.0}, id="float-n-max"),
+        pytest.param({"num_contexts": True, "alpha": (0.5, 0.5)}, id="bool-num-contexts"),
     ],
 )
 def test_hyperparams_validation(kwargs):

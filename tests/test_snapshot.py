@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import HyperParams, init_growing, init_static
@@ -130,3 +132,64 @@ def test_unsupported_schema_version_rejected():
     broken = text.replace('"schema_version":1', '"schema_version":99', 1)
     with pytest.raises(ValueError, match="schema version"):
         load_snapshot(broken)
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+def _trained_snapshot(seed):
+    net, synapses, labels, rng = fresh_setup(seed)
+    train_some(net, synapses, labels, rng.normal(size=(40, 3)) * 2)
+    replay_episode(net, synapses, labels)
+    return save_snapshot(net, synapses, labels)
+
+
+# every fuzz case edits a fresh parse of this small trained snapshot
+_FUZZ_TEXT = _trained_snapshot(9)
+
+# integers stay small so no edit makes the loader allocate much memory;
+# integral floats stand in for ints written as 2.0
+_SMALL_INTS = st.integers(-3, 40)
+_SCALARS = (
+    st.none() | st.booleans() | _SMALL_INTS | _SMALL_INTS.map(float) | st.floats()
+    | st.text(max_size=4)
+)
+_JSON_VALUES = (
+    _SCALARS
+    | st.lists(_SCALARS, max_size=3)
+    | st.lists(st.lists(_SCALARS, max_size=3), max_size=2)
+    | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a parsed JSON document, the root included, through the
+    first two items of each list only: later items repeat their shape."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:2])
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_fuzzed_snapshot_loads_cleanly_or_raises_value_error(data):
+    doc = json.loads(_FUZZ_TEXT)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_JSON_VALUES)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        network, _, _ = load_snapshot(json.dumps(doc))
+    except ValueError:
+        return
+    network.check_invariants()
