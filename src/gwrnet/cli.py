@@ -265,57 +265,55 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    summaries = []
-    for run_dir in args.run_dirs:
-        path = Path(run_dir) / "summary.json"
-        if not path.is_file():
-            raise ValidationError(f"missing summary.json in {run_dir}")
+def _overall_accuracy(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float]]]:
+    """A finished run's checkpoint grid and its (mean, std) overall accuracy
+    at each checkpoint, read from summary.json."""
+    path = Path(run_dir) / "summary.json"
+    if not path.is_file():
+        raise ValidationError(f"missing summary.json in {run_dir}")
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            summaries.append((run_dir, json.load(fh)))
+            doc = json.load(fh)
+        grid = tuple(doc["checkpoints"])
+        if not grid or any(type(cp) is not int for cp in grid):
+            raise ValueError("checkpoints are not a nonempty list of integers")
+        cells = [doc["by_checkpoint"][str(cp)]["acc_overall"] for cp in grid]
+        stats = [(cell["mean"], cell["std"]) for cell in cells]
+        if any(type(v) is not float for pair in stats for v in pair):
+            raise ValueError("acc_overall mean and std are not floats")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed summary.json in {run_dir}: {exc!r}") from None
+    return grid, stats
 
-    grids = [tuple(doc["checkpoints"]) for _, doc in summaries]
+
+def _cmd_compare(args) -> int:
+    names = args.run_dirs
+    grids, runs = zip(*(_overall_accuracy(run_dir) for run_dir in names))
     if len(set(grids)) != 1:
-        detail = "; ".join(f"{d}: {list(g)}" for (d, _), g in zip(summaries, grids))
+        detail = "; ".join(f"{d}: {list(g)}" for d, g in zip(names, grids))
         raise ValidationError(f"incompatible checkpoint grids: {detail}")
-    checkpoints = grids[0]
-
-    names = [d for d, _ in summaries]
-    rows = []
-    for cp in checkpoints:
-        row = [str(cp)]
-        for _, doc in summaries:
-            cell = doc["by_checkpoint"][str(cp)]["acc_overall"]
-            row.append(f"{cell['mean']:.4f}+-{cell['std']:.4f}")
-        rows.append(row)
+    # one row per checkpoint: the checkpoint, then each run's (mean, std)
+    table = [(cp, [run[i] for run in runs]) for i, cp in enumerate(grids[0])]
 
     header = ["checkpoint"] + names
+    rows = [[str(cp)] + [f"{m:.4f}+-{s:.4f}" for m, s in stats] for cp, stats in table]
     widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
+    for row in [header] + rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
-    final = str(checkpoints[-1])
-    base = summaries[0][1]["by_checkpoint"][final]["acc_overall"]["mean"]
+    final, final_stats = table[-1]
+    base = final_stats[0][0]
+    deltas = [mean - base for mean, _ in final_stats]
     print(f"final checkpoint {final} deltas vs {names[0]}:")
-    deltas = []
-    for name, doc in summaries:
-        mean = doc["by_checkpoint"][final]["acc_overall"]["mean"]
-        deltas.append((name, mean, mean - base))
-        print(f"  {name}: {mean:.4f} ({mean - base:+.4f})")
+    for name, (mean, _), delta in zip(names, final_stats, deltas):
+        print(f"  {name}: {mean:.4f} ({delta:+.4f})")
 
+    # final_delta fills each run's _mean column and leaves its _std cell empty
+    lines = [["checkpoint"] + [f"{n}_{stat}" for n in names for stat in ("mean", "std")]]
+    lines += [[str(cp)] + [repr(v) for pair in stats for v in pair] for cp, stats in table]
+    lines.append(["final_delta"] + [cell for d in deltas for cell in (repr(d), "")])
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("checkpoint," + ",".join(
-            f"{n}_mean,{n}_std" for n in names) + "\n")
-        for cp in checkpoints:
-            cells = [str(cp)]
-            for _, doc in summaries:
-                cell = doc["by_checkpoint"][str(cp)]["acc_overall"]
-                cells.append(repr(cell["mean"]))
-                cells.append(repr(cell["std"]))
-            fh.write(",".join(cells) + "\n")
-        fh.write("final_delta," + ",".join(
-            f"{delta!r}," for _, _, delta in deltas).rstrip(",") + "\n")
+        fh.writelines(",".join(line) + "\n" for line in lines)
     return 0
 
 

@@ -46,14 +46,7 @@ class LabelAssociations:
         """Most frequent label for a neuron; ties go to the label recorded
         first; None for a neuron that never won a labeled input."""
         row = self._rows.get(neuron_id)
-        if not row:
-            return None
-        best = None
-        best_count = 0
-        for label, count in row.items():
-            if count > best_count:
-                best, best_count = label, count
-        return best
+        return max(row, key=row.get) if row else None
 
     def items(self):
         """Iterate (neuron_id, label, count) in per-row recording order,

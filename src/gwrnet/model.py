@@ -28,7 +28,8 @@ that distance over all units, ties included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ STATIC = "static"
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_LARGEST = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,13 @@ class HyperParams:
     n_max: int = 2500
 
     def __post_init__(self):
+        reals = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type in (float, "float")]
+        reals += [("alpha", a) for a in self.alpha]
+        for name, value in reals:
+            # the exact int/float comparison also rejects ints too large for a float
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and abs(value) <= _LARGEST):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not 0.0 < self.insertion_threshold < 1.0:
             raise ValueError("insertion_threshold must lie in (0, 1)")
         if not 0.0 < self.habituation_threshold < 1.0:
@@ -166,24 +175,23 @@ class Network:
         k = hyper.num_contexts
         # Row j of _units is neuron j as [weight, context_1, ..., context_K];
         # _query holds [input, C_1, ..., C_K] in the same layout so matching,
-        # adaptation and insertion are single fused array operations.
-        self._units = np.zeros((hyper.n_max, k + 1, dim))
-        self._hab = np.ones(hyper.n_max)
+        # adaptation and insertion are single fused array operations. The
+        # per-neuron arrays start empty and _append_units grows them.
+        self._units = np.zeros((0, k + 1, dim))
+        self._hab = np.zeros(0)
         self._query = np.zeros((k + 1, dim))
         self._alpha = np.asarray(hyper.alpha, dtype=float)
         self._alpha_col = self._alpha[:, None]
         # _sqnorm[j] is unit j's alpha-weighted squared norm, kept in step
         # with _units; _sqmax bounds every _sqnorm value ever held and never
         # decreases. Both feed the screen in _nearest.
-        self._sqnorm = np.zeros(hyper.n_max)
+        self._sqnorm = np.zeros(0)
         self._sqmax = 0.0
         m = (k + 1) * dim
         self._screen_rel = 2.5 * (m + 4) * _UNIT_ROUNDOFF
         self._screen_abs = (m + 4) * _SMALLEST_NORMAL
         # eps and tau by position in an adapt's [winner] + neighbors
-        self._learning = np.empty((2, hyper.n_max))
-        self._learning[:, 0] = (hyper.eps_b, hyper.tau_b)
-        self._learning[:, 1:] = np.array([[hyper.eps_n], [hyper.tau_n]])
+        self._learning = np.zeros((2, 0))
         self._adj: dict[int, set[int]] = {}
         self.num_neurons = 0
         # the frame _iterate has validated; the public methods it calls
@@ -456,6 +464,8 @@ class Network:
         end = start + units.shape[0]
         if end > self.hyper.n_max:
             raise RuntimeError("capacity exhausted")
+        if end > len(self._hab):
+            self._grow_storage(end)
         self._units[start:end] = units
         self._hab[start:end] = habs
         for new_id in range(start, end):
@@ -464,6 +474,22 @@ class Network:
         if end > start:
             self._store_norms(slice(start, end), self._units[start:end])
         return range(start, end)
+
+    def _grow_storage(self, end: int) -> None:
+        """Reallocate the per-neuron arrays to hold at least ``end`` rows,
+        keeping the existing neurons. The row count at least doubles, up to
+        n_max, so memory follows the network's size, not its declared n_max."""
+        rows = min(self.hyper.n_max, max(end, 2 * len(self._hab)))
+        n = self.num_neurons
+        for name in ("_units", "_hab", "_sqnorm"):
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:])
+            new[:n] = old[:n]
+            setattr(self, name, new)
+        hy = self.hyper
+        self._learning = np.empty((2, rows))
+        self._learning[:, 0] = (hy.eps_b, hy.tau_b)
+        self._learning[:, 1:] = [[hy.eps_n], [hy.tau_n]]
 
     def _append_neuron(
         self, weight: np.ndarray, contexts: np.ndarray, hab: float

@@ -319,40 +319,35 @@ def metrics_census(records: list[MetricsRecord]) -> tuple[list[int], list[str]]:
     return checkpoints, categories
 
 
-def write_metrics_csv(records: list[MetricsRecord], path) -> None:
-    """Deterministic per-(trial, checkpoint) metrics table.
+def _cell(value) -> str:
+    """One metrics.csv cell: bools as 0/1, floats in shortest round-trip
+    form (numpy scalars included), everything else as text."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
-    Wall times are intentionally not part of this file (they are not
-    reproducible); they go to the timing sidecar instead.
-    """
+
+# metrics.csv leads with every MetricsRecord field except the wall time
+# (not reproducible; it goes to the timing sidecar) and the per-category
+# table, which becomes the trailing acc_<category> columns
+_CSV_COLUMNS = [f.name for f in fields(MetricsRecord) if f.name not in ("wall_ms", "per_category")]
+# summary.json statistics, in the key order it has always had
+_SUMMARY_COLUMNS = ("acc_overall", "acc_seen", "forgetting_mean", "n_neurons", "replay_steps")
+
+
+def write_metrics_csv(records: list[MetricsRecord], path) -> None:
+    """Deterministic per-(trial, checkpoint) metrics table."""
     _, categories = metrics_census(records)
-    header = [
-        "trial",
-        "checkpoint",
-        "mode",
-        "replay",
-        "n_neurons",
-        "acc_overall",
-        "acc_seen",
-        "forgetting_mean",
-        "replay_steps",
-    ] + [f"acc_{c}" for c in categories]
+    header = _CSV_COLUMNS + [f"acc_{c}" for c in categories]
     ordered = sorted(records, key=lambda r: (r.trial, r.checkpoint))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for r in ordered:
-            cells = [
-                str(r.trial),
-                str(r.checkpoint),
-                r.mode,
-                str(int(r.replay)),
-                str(r.n_neurons),
-                repr(r.acc_overall),
-                repr(r.acc_seen),
-                repr(r.forgetting_mean),
-                str(r.replay_steps),
-            ] + [repr(r.per_category.get(c, 0.0)) for c in categories]
-            fh.write(",".join(cells) + "\n")
+            values = [getattr(r, name) for name in _CSV_COLUMNS]
+            values += [r.per_category.get(c, 0.0) for c in categories]
+            fh.write(",".join(map(_cell, values)) + "\n")
 
 
 def write_timing_csv(records: list[MetricsRecord], path) -> None:
@@ -369,23 +364,12 @@ def summarize(spec: ProtocolSpec, records: list[MetricsRecord], config_echo=None
     by_checkpoint = {}
     for cp in checkpoints:
         rows = [r for r in records if r.checkpoint == cp]
-        entry = {}
-        for name, getter in (
-            ("acc_overall", lambda r: r.acc_overall),
-            ("acc_seen", lambda r: r.acc_seen),
-            ("forgetting_mean", lambda r: r.forgetting_mean),
-            ("n_neurons", lambda r: float(r.n_neurons)),
-            ("replay_steps", lambda r: float(r.replay_steps)),
-        ):
-            values = np.array([getter(r) for r in rows])
-            entry[name] = {"mean": float(values.mean()), "std": float(values.std())}
-        for category in categories:
-            values = np.array([r.per_category.get(category, 0.0) for r in rows])
-            entry[f"acc_{category}"] = {
-                "mean": float(values.mean()),
-                "std": float(values.std()),
-            }
-        by_checkpoint[str(cp)] = entry
+        series = {name: [getattr(r, name) for r in rows] for name in _SUMMARY_COLUMNS}
+        series.update({f"acc_{c}": [r.per_category.get(c, 0.0) for r in rows] for c in categories})
+        by_checkpoint[str(cp)] = {}
+        for name, values in series.items():
+            values = np.array(values, dtype=float)
+            by_checkpoint[str(cp)][name] = {"mean": float(values.mean()), "std": float(values.std())}
     doc = {
         "protocol": {
             f.name: list(v) if isinstance(v := getattr(spec, f.name), tuple) else v

@@ -84,14 +84,8 @@ def generate_rnat(
     ids = [source_id]
     for _ in range(length):
         tail = ids[-1]
-        candidates = synapses.predecessor_counts(tail)
-        best = None
-        best_count = 0
-        for neuron_id in sorted(candidates):
-            if neuron_id == tail:
-                continue
-            if candidates[neuron_id] > best_count:
-                best, best_count = neuron_id, candidates[neuron_id]
+        counts = synapses.predecessor_counts(tail)
+        best = max(sorted(i for i in counts if i != tail), key=counts.get, default=None)
         if best is None:
             break
         ids.append(best)

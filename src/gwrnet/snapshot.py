@@ -124,7 +124,7 @@ def _hyper(doc) -> HyperParams:
     try:
         hyper_doc["alpha"] = tuple(hyper_doc["alpha"])
         return HyperParams(**hyper_doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"snapshot hyper is malformed: {exc}") from None
 
 

@@ -222,10 +222,15 @@ def test_compare_two_runs_and_self_identity(tmp_path, capsys):
     assert table.is_file()
 
     self_table = tmp_path / "self.csv"
-    code = main(["compare", str(out_a), str(out_a), "--out", str(self_table)])
+    code = main(["compare", str(out_a), str(out_a), str(out_b), "--out", str(self_table)])
     assert code == 0
     printed = capsys.readouterr().out
     assert "(+0.0000)" in printed
+    for path, runs in ((table, 2), (self_table, 3)):
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        assert len(lines[0]) == 1 + 2 * runs
+        assert all(len(cells) == len(lines[0]) for cells in lines)
+        assert lines[-1][0] == "final_delta" and lines[-1][2::2] == [""] * runs
 
 
 def test_compare_missing_summary_names_directory(tmp_path, capsys):
@@ -236,6 +241,32 @@ def test_compare_missing_summary_names_directory(tmp_path, capsys):
     code = main(["compare", str(out_a), str(missing), "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "not_a_run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"checkpoints": [1]}',
+        "[1, 2]",
+        '"summary"',
+        "{",
+        '{"checkpoints": [], "by_checkpoint": {}}',
+        json.dumps({"checkpoints": [[1]], "by_checkpoint": {"[1]": {"acc_overall": {"mean": 0.5, "std": 0.0}}}}),
+        json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": 0.5}}}),
+        json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": "0.5", "std": 0.0}}}}),
+    ],
+    ids=[
+        "no-table", "list", "string", "truncated", "empty-grid", "list-checkpoint",
+        "number-cell", "string-mean",
+    ],
+)
+def test_compare_rejects_malformed_summary(tmp_path, capsys, text):
+    run = tmp_path / "bad_run"
+    run.mkdir()
+    (run / "summary.json").write_text(text)
+    assert main(["compare", str(run), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed summary.json" in err and "bad_run" in err
 
 
 def test_compare_rejects_mismatched_grids(tmp_path, capsys):
@@ -305,6 +336,8 @@ def _set(path, value):
         (_set(["neurons", 1, "weight", 0], "0.5"), "weights are not numbers"),
         (lambda doc: doc["hyper"].pop("context_form"), "'context_form'"),
         (_set(["hyper", "context_form"], "literal"), "'context_form' must be 'recursive'"),
+        (_set(["hyper", "kappa"], float("inf")), "kappa must be a finite real"),
+        (_set(["hyper", "tau_b"], 10**400), "tau_b must be a finite real"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -312,7 +345,7 @@ def _set(path, value):
         "habituation-out-of-range", "nan-weight", "short-weight", "missing-context-row",
         "infinite-context", "prev-bmu-missing", "float-num-contexts", "float-n-max",
         "string-habituation", "string-weight-cell", "context-form-missing",
-        "context-form-literal",
+        "context-form-literal", "infinite-kappa", "int-too-large-for-float",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -672,6 +672,10 @@ def test_hyperparams_reference_defaults():
         pytest.param({"num_contexts": 2.0}, id="float-num-contexts"),
         pytest.param({"n_max": 20.0}, id="float-n-max"),
         pytest.param({"num_contexts": True, "alpha": (0.5, 0.5)}, id="bool-num-contexts"),
+        pytest.param({"kappa": float("inf")}, id="infinite-kappa"),
+        pytest.param({"tau_b": 10**400}, id="int-too-large-for-float"),
+        pytest.param({"alpha": (0.67, float("inf"), 0.09)}, id="infinite-alpha"),
+        pytest.param({"tau_n": True}, id="bool-tau-n"),
     ],
 )
 def test_hyperparams_validation(kwargs):

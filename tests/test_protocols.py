@@ -330,6 +330,21 @@ def test_metrics_csv_is_deterministic_and_excludes_wall_time(tmp_path):
     assert header[9:] == [f"acc_{c}" for c in categories]
 
 
+def test_metrics_csv_cells_are_plain_numbers(tmp_path):
+    records = [
+        replace(fake_record(0, 1, {"a": np.float64(0.25)}, acc=np.float64(0.5)),
+                replay=True, n_neurons=np.int64(7), acc_seen=np.float64(0.125)),
+        fake_record(0, 2, {"a": 0.75}),
+    ]
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(records, path)
+    text = path.read_text()
+    assert "np." not in text
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[1] == ["0", "1", "growing", "1", "7", "0.5", "0.125", "0.0", "0", "0.25"]
+    assert rows[2][3] == "0"
+
+
 def test_summarize_mean_and_std():
     records = [
         fake_record(0, 1, {"a": 0.8}, acc=0.6),

@@ -1,6 +1,7 @@
 """Snapshot persistence: canonical bytes and exact training continuation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ def test_unsupported_schema_version_rejected():
     broken = text.replace('"schema_version":1', '"schema_version":99', 1)
     with pytest.raises(ValueError, match="schema version"):
         load_snapshot(broken)
+
+
+def test_loading_allocates_for_the_neurons_not_the_declared_capacity():
+    hyper = HyperParams(n_max=1_000_000)
+    net = init_growing(16, hyper, (np.zeros(16), np.ones(16)))
+    text = save_snapshot(net, TemporalSynapses(), LabelAssociations())
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_snapshot(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.hyper.n_max == 1_000_000
+    assert peak < 1_000_000
 
 
 # -- fuzzing ---------------------------------------------------------------------
