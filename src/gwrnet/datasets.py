@@ -127,41 +127,58 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     Every random draw is keyed by (seed, role, indices), so sequences could
     be generated independently in any order and still come out identical.
+    Category centers come from stream ``(seed, 0)`` and instance prototypes
+    from ``(seed, 1, category, instance)``. Each sequence owns stream
+    ``(seed, 2, category, instance, session)``: it draws its session shift
+    first, then one (walk step, noise) pair ``(z_t, z'_t)`` of ``dim``-vectors
+    per frame. With ``shifted`` the instance prototype plus the session shift,
+    frame t is ``shifted + dev_t + noise * z'_t``, where
+    ``dev_t = WALK_PULLBACK * dev_{t-1} + walk_step * z_t`` and ``dev_{-1} = 0``.
     """
-    centers = _rng(seed, 0).standard_normal((spec.categories, spec.dim))
+    frames_per_seq, dim = spec.frames_per_seq, spec.dim
+    centers = _rng(seed, 0).standard_normal((spec.categories, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    # one category's sequences advance together as the rows of these blocks;
+    # row ii * sessions + (si - 1) is the sequence of (instance ii, session si)
+    num_rows = spec.instances * spec.sessions
+    shifted = np.empty((num_rows, dim))
+    steps = np.empty((num_rows, frames_per_seq, 2, dim))
+    scales = np.array([[spec.walk_step], [spec.noise]])
+    dev = np.empty((num_rows, dim))
 
     sequences = []
     for ci in range(spec.categories):
         category = f"c{ci:02d}"
         for ii in range(spec.instances):
-            instance = f"{category}o{ii}"
             proto = centers[ci] + spec.cluster_spread * _rng(
                 seed, 1, ci, ii
-            ).standard_normal(spec.dim)
+            ).standard_normal(dim)
             for si in range(1, spec.sessions + 1):
+                row = ii * spec.sessions + si - 1
                 rng = _rng(seed, 2, ci, ii, si)
-                shifted = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(
-                    spec.dim
+                shifted[row] = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(dim)
+                rng.standard_normal(out=steps[row])
+        # the walk with the per-frame loop's IEEE operations in its order;
+        # a product is commutative, so scaling every draw up front is exact
+        steps *= scales
+        frames = np.empty((num_rows, frames_per_seq, dim))
+        dev.fill(0.0)
+        for t in range(frames_per_seq):
+            dev *= WALK_PULLBACK
+            dev += steps[:, t, 0]
+            np.add(shifted, dev, out=frames[:, t])
+            frames[:, t] += steps[:, t, 1]
+        for row in range(num_rows):
+            ii, si = divmod(row, spec.sessions)
+            sequences.append(
+                Sequence(
+                    category=category,
+                    instance=f"{category}o{ii}",
+                    session=si + 1,
+                    sequence_id=0,  # assigned below
+                    features=frames[row],
                 )
-                frames = np.empty((spec.frames_per_seq, spec.dim))
-                dev = np.zeros(spec.dim)
-                for t in range(spec.frames_per_seq):
-                    dev = WALK_PULLBACK * dev + spec.walk_step * rng.standard_normal(
-                        spec.dim
-                    )
-                    frames[t] = shifted + dev + spec.noise * rng.standard_normal(
-                        spec.dim
-                    )
-                sequences.append(
-                    Sequence(
-                        category=category,
-                        instance=instance,
-                        session=si,
-                        sequence_id=0,  # assigned below
-                        features=frames,
-                    )
-                )
+            )
     # stable global sequence ids in (session, category, instance) order
     sequences.sort(key=lambda s: (s.session, s.category, s.instance))
     renumbered = [
@@ -209,7 +226,7 @@ def load_features(path) -> Dataset:
     open_seq: Optional[int] = None
     seen: dict[int, tuple] = {}
     spans: dict[int, list[int]] = {}
-    rows: list[np.ndarray] = []
+    flat: list[float] = []
     row_lines: list[int] = []
     last_frame: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -225,7 +242,7 @@ def load_features(path) -> Dataset:
             session = int(cells[2])
             seq_id = int(cells[3])
             frame_index = int(cells[4])
-            features = np.array([float(v) for v in cells[5:]])
+            flat.extend(map(float, cells[5:]))
         except ValueError as exc:
             raise FeatureFileError(f"line {lineno}: {exc}") from None
         key = (category, instance, session)
@@ -244,15 +261,14 @@ def load_features(path) -> Dataset:
                 )
         else:
             seen[seq_id] = key
-            spans[seq_id] = [len(rows), len(rows)]
-        rows.append(features)
+            spans[seq_id] = [len(row_lines), len(row_lines)]
         row_lines.append(lineno)
-        spans[seq_id][1] = len(rows)
+        spans[seq_id][1] = len(row_lines)
         last_frame[seq_id] = frame_index
         open_seq = seq_id
-    if not rows:
+    if not row_lines:
         raise FeatureFileError("line 2: no data rows")
-    matrix = np.vstack(rows)
+    matrix = np.array(flat).reshape(len(row_lines), dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         bad = row_lines[int(np.argmin(finite))]

@@ -97,6 +97,25 @@ class HyperParams:
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
 
+    @property
+    def habituation_floor(self) -> float:
+        """Lowest habituation a network under these constants can hold.
+
+        With p = tau * kappa < 1 the exact update maps h to
+        f + (1 - p) * (h - f), f = 1 - 1/kappa, so habituations that start
+        at or above f (new units start at 1) stay there. The rounded update
+        is off by at most E = 6u (u the unit roundoff): five roundings of
+        values no larger than 1, plus slack for second-order terms. A
+        deviation below f shrinks by 1 - p per update and gains at most E,
+        so it stays within E / p for the smaller p; the computed f and the
+        subtraction below add at most 3u. With p >= 1 for either tau the
+        update overshoots f and only the [0, 1] clamp bounds it: 0.
+        """
+        if self.kappa * max(self.tau_b, self.tau_n) >= 1.0:
+            return 0.0
+        p = self.kappa * min(self.tau_b, self.tau_n)
+        return (1.0 - 1.0 / self.kappa) - (6.0 / p + 3.0) * _UNIT_ROUNDOFF
+
 
 @dataclass
 class Neuron:
@@ -266,8 +285,9 @@ class Network:
     def check_invariants(self) -> None:
         """Raise RuntimeError naming every broken structural invariant:
         symmetric adjacency without self-edges over exactly the neuron ids,
-        habituation in [0, 1], finite units, num_neurons <= n_max, and cached
-        norms equal to recomputed ones."""
+        habituation in [0, 1] and at or above ``hyper.habituation_floor``,
+        finite units, num_neurons <= n_max, and cached norms equal to
+        recomputed ones."""
         n = self.num_neurons
         problems = []
         if not 0 <= n <= self.hyper.n_max:
@@ -283,6 +303,8 @@ class Network:
         hab = self._hab[:n]
         if not ((hab >= 0.0) & (hab <= 1.0)).all():
             problems.append("habituation outside [0, 1]")
+        elif not (hab >= self.hyper.habituation_floor).all():
+            problems.append("habituation below the floor 1 - 1/kappa")
         units = self._units[:n]
         if not np.isfinite(units).all():
             problems.append("non-finite weight or context")

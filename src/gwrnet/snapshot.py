@@ -139,7 +139,6 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
         raise ValueError(f"unsupported snapshot schema version {version!r}")
     hyper = _hyper(doc["hyper"])
     dim = _count(doc["dim"], "dim")
-    network = Network(dim, hyper, doc["mode"], rng_seed=_count(doc["rng_seed"], "rng_seed"))
 
     neurons = _list(doc["neurons"], "neurons")
     n, k = len(neurons), hyper.num_contexts
@@ -150,13 +149,20 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
             raise ValueError(f"snapshot neuron {expected} is not a JSON object")
         if entry["id"] != expected:
             raise ValueError(f"non-dense neuron ids: expected {expected}, got {entry['id']}")
-    units = np.empty((n, k + 1, dim))
-    units[:, 0] = _floats([e["weight"] for e in neurons], (n, dim), "weights")
-    units[:, 1:] = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
+    # every row of dim floats is checked before Network allocates from dim,
+    # so a declared dim must be confirmed by the document's own rows
+    if n == 0 and k == 0:
+        raise ValueError(f"snapshot dim {dim} is confirmed by no weight or context row")
+    weights = _floats([e["weight"] for e in neurons], (n, dim), "weights")
+    contexts = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
+    global_context = _floats(doc["global_context"], (k, dim), "global context")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
     if not ((habs >= 0.0) & (habs <= 1.0)).all():
         raise ValueError("snapshot habituations must lie in [0, 1]")
-    network._append_units(units, habs)
+    if not (habs >= hyper.habituation_floor).all():
+        raise ValueError("snapshot habituations fall below the floor 1 - 1/kappa")
+    network = Network(dim, hyper, doc["mode"], rng_seed=_count(doc["rng_seed"], "rng_seed"))
+    network._append_units(np.concatenate([weights[:, None], contexts], axis=1), habs)
 
     edges = _table(doc["edges"], 2, 2, n, "edges")
     if (edges[:, 0] == edges[:, 1]).any():
@@ -168,7 +174,7 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
         raise ValueError(f"snapshot prev_bmu {prev_bmu} names a neuron that does not exist")
     network.prev_bmu = prev_bmu
     network.step_count = _count(doc["step_count"], "step_count")
-    network.global_context = _floats(doc["global_context"], (k, dim), "global context")
+    network.global_context = global_context
 
     transitions = doc["transitions"]
     _table(transitions, 3, 2, n, "transitions")

@@ -338,6 +338,8 @@ def _set(path, value):
         (_set(["hyper", "context_form"], "literal"), "'context_form' must be 'recursive'"),
         (_set(["hyper", "kappa"], float("inf")), "kappa must be a finite real"),
         (_set(["hyper", "tau_b"], 10**400), "tau_b must be a finite real"),
+        (_set(["dim"], 10**12), "weights have shape"),
+        (_set(["neurons", 1, "habituation"], 0.04), "below the floor"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -345,7 +347,8 @@ def _set(path, value):
         "habituation-out-of-range", "nan-weight", "short-weight", "missing-context-row",
         "infinite-context", "prev-bmu-missing", "float-num-contexts", "float-n-max",
         "string-habituation", "string-weight-cell", "context-form-missing",
-        "context-form-literal", "infinite-kappa", "int-too-large-for-float",
+        "context-form-literal", "infinite-kappa", "int-too-large-for-float", "huge-dim",
+        "habituation-below-floor",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwrnet.datasets import (
+    WALK_PULLBACK,
     FeatureFileError,
     SyntheticSpec,
     generate_synthetic,
@@ -79,6 +80,68 @@ def test_sequences_are_contiguous_per_triple():
     dataset = generate_synthetic(SMALL, seed=5)
     triples = {(s.category, s.instance, s.session) for s in dataset.sequences}
     assert len(triples) == len(dataset.sequences)
+
+
+def _stream(*entropy):
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _per_frame_synthetic(spec, seed):
+    """Reference generator: one sequence at a time, one frame at a time.
+    Returns (category, instance, session, sequence id, frames) tuples in
+    sequence-id order."""
+    centers = _stream(seed, 0).standard_normal((spec.categories, spec.dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    rows = []
+    for ci in range(spec.categories):
+        for ii in range(spec.instances):
+            proto = centers[ci] + spec.cluster_spread * _stream(seed, 1, ci, ii).standard_normal(
+                spec.dim
+            )
+            for si in range(1, spec.sessions + 1):
+                rng = _stream(seed, 2, ci, ii, si)
+                shifted = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(spec.dim)
+                frames = np.empty((spec.frames_per_seq, spec.dim))
+                dev = np.zeros(spec.dim)
+                for t in range(spec.frames_per_seq):
+                    dev = WALK_PULLBACK * dev + spec.walk_step * rng.standard_normal(spec.dim)
+                    frames[t] = shifted + dev + spec.noise * rng.standard_normal(spec.dim)
+                rows.append((si, f"c{ci:02d}", f"c{ci:02d}o{ii}", frames))
+    rows.sort(key=lambda row: row[:3])
+    return [
+        (category, instance, session, seq_id, frames)
+        for seq_id, (session, category, instance, frames) in enumerate(rows)
+    ]
+
+
+_SCALES = st.sampled_from([0.0, 0.02, 0.1, 0.7])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.builds(
+        SyntheticSpec,
+        categories=st.integers(1, 3),
+        instances=st.integers(1, 3),
+        sessions=st.integers(1, 3),
+        dim=st.integers(2, 5),
+        frames_per_seq=st.integers(1, 6),
+        cluster_spread=_SCALES,
+        walk_step=_SCALES,
+        noise=_SCALES,
+    ),
+    seed=st.sampled_from([0, 1, 7, 101, 2**32 - 1]),
+)
+def test_generator_matches_the_per_frame_reference_bytewise(spec, seed):
+    dataset = generate_synthetic(spec, seed)
+    expected = _per_frame_synthetic(spec, seed)
+    assert len(dataset.sequences) == len(expected)
+    for seq, (category, instance, session, seq_id, frames) in zip(dataset.sequences, expected):
+        assert (seq.category, seq.instance, seq.session, seq.sequence_id) == (
+            category, instance, session, seq_id
+        )
+        assert seq.features.shape == frames.shape
+        assert seq.features.tobytes() == frames.tobytes()
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -231,7 +231,7 @@ def _trained_net():
 )
 def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
     net = _trained_net()
-    net._hab[0] = 0.01  # open the insertion gate for maybe_insert
+    net._hab[0] = 0.05  # open the insertion gate, above the floor 1 - 1/kappa
     before = (net._units.copy(), net._hab.copy(), net._sqnorm.copy(), net.global_context)
     x = np.array([0.5, bad, 0.5])
     with pytest.raises(ValueError, match="non-finite"):
@@ -249,10 +249,14 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
         (lambda net: net._adj[0].add(0), "self-edge"),
         (lambda net: net._adj[0].discard(net.neighbors(0)[0]), "not symmetric"),
         (lambda net: net._hab.__setitem__(1, 1.5), "habituation"),
+        (lambda net: net._hab.__setitem__(1, 0.04), "below the floor"),
         (lambda net: net._units.__setitem__((1, 0, 0), np.nan), "non-finite"),
         (lambda net: net._units.__setitem__((1, 0, 0), 3.0), "stale"),
     ],
-    ids=["self-edge", "one-sided-edge", "habituation", "non-finite", "stale-norm"],
+    ids=[
+        "self-edge", "one-sided-edge", "habituation", "habituation-floor", "non-finite",
+        "stale-norm",
+    ],
 )
 def test_check_invariants_names_each_violation(corrupt, message):
     net = _trained_net()
@@ -681,6 +685,38 @@ def test_hyperparams_reference_defaults():
 def test_hyperparams_validation(kwargs):
     with pytest.raises(ValueError):
         HyperParams(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.floats(1.001, 10.0),
+    shares=st.tuples(st.floats(0.01, 0.999), st.floats(0.01, 0.999)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_habituation_floor_holds_under_iterated_updates(kappa, shares, seed):
+    """Mixed winner and neighbor updates from [1 - 1/kappa, 1] never go
+    below the derived floor."""
+    tau_b, tau_n = (share / kappa for share in shares)
+    hyper = HyperParams(tau_b=tau_b, tau_n=tau_n, kappa=kappa)
+    floor = hyper.habituation_floor
+    assert 0.0 < floor < 1.0 - 1.0 / kappa
+    rng = np.random.default_rng(seed)
+    fixed_point = 1.0 - 1.0 / kappa
+    # from 1 (new units), from anywhere above, and already within rounding
+    h = np.concatenate([
+        np.ones(8),
+        rng.uniform(fixed_point, 1.0, 24),
+        fixed_point + np.spacing(fixed_point) * rng.integers(0, 64, 32),
+    ])
+    for _ in range(2000):
+        h = habituate(h, np.where(rng.random(h.size) < 0.5, tau_b, tau_n), kappa)
+        assert h.min() >= floor
+
+
+def test_habituation_floor_is_zero_when_an_update_overshoots():
+    assert HyperParams().habituation_floor == pytest.approx(1.0 - 1.0 / 1.05, abs=1e-12)
+    assert HyperParams(tau_b=0.96, kappa=1.05).habituation_floor == 0.0
+    assert HyperParams(tau_n=0.96, kappa=1.05).habituation_floor == 0.0
 
 
 # -- determinism -------------------------------------------------------------------

@@ -149,6 +149,31 @@ def test_loading_allocates_for_the_neurons_not_the_declared_capacity():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [(True, "weights have shape"), (False, "confirmed by no")],
+    ids=["rows-disagree", "no-rows"],
+)
+def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
+    """A declared dim must match the document's rows before anything is
+    sized from it; with no neurons and no contexts nothing confirms it."""
+    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=12)
+    net = init_growing(3, hyper, (np.zeros(3), np.ones(3)))
+    doc = json.loads(save_snapshot(net, TemporalSynapses(), LabelAssociations()))
+    doc["dim"] = 10**8
+    if not rows:
+        doc.update(neurons=[], edges=[], prev_bmu=None)
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load_snapshot(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # -- fuzzing ---------------------------------------------------------------------
 
 def _trained_snapshot(seed):
