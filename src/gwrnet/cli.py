@@ -84,17 +84,15 @@ _SYNTHETIC_KEYS = _keys_of(SyntheticSpec)
 _SECTIONS = {
     "model": _HYPER_KEYS,
     "protocol": _PROTOCOL_KEYS,
-    "dataset": {"source": str, "path": str, **_SYNTHETIC_KEYS, "data_seed": int},
+    "dataset": {"path": str, **_SYNTHETIC_KEYS, "data_seed": int},
     "output": {"dir": str, "snapshot": _parse_bool, "parallel_trials": int},
 }
-# `run` flags not spelled as the key with dashes; None marks a key only the
-# config file sets (`--data` implies source = file), and the synthetic spec
-# keys are gen-data's flags
+# `run` flags not spelled as the key with dashes; the synthetic spec keys
+# are gen-data's flags
 _FLAG_NAMES = {
     "n_max": "--nmax",
     "num_contexts": "--contexts",
     "kind": "--protocol",
-    "source": None,
     "path": "--data",
     "dir": "--out",
 }
@@ -102,8 +100,12 @@ _GEN_FLAG_NAMES = {"frames_per_seq": "--frames"}
 
 
 def _load_config(path: str) -> dict[str, dict]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # values are literal: a '%' in a path is a character, not interpolation
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ValidationError(f"config file not found: {path}")
     values: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -151,10 +153,7 @@ def _echo_config(path: Path, sections: dict[str, dict]) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        spec = SyntheticSpec(**{key: getattr(args, key) for key in _SYNTHETIC_KEYS})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    spec = SyntheticSpec(**{key: getattr(args, key) for key in _SYNTHETIC_KEYS})
     dataset = generate_synthetic(spec, args.seed)
     write_features(dataset, args.out)
     print(
@@ -166,27 +165,25 @@ def _cmd_gen_data(args) -> int:
 
 
 def _build_dataset(data_cfg: dict) -> tuple[Dataset, dict]:
-    source = data_cfg.get("source", "synthetic")
-    if source == "file":
-        path = data_cfg.get("path")
-        if not path:
-            raise ValidationError("dataset source 'file' needs a path")
+    """The feature CSV at ``path`` if one is given, else the synthetic
+    benchmark; returns the dataset and its resolved [dataset] section."""
+    if "path" in data_cfg:
+        path = data_cfg["path"]
+        ignored = sorted(data_cfg.keys() - {"path"})
+        if ignored:
+            raise ValidationError(
+                f"dataset path given together with synthetic dataset keys: {', '.join(ignored)}"
+            )
         if not Path(path).is_file():
             raise ValidationError(f"dataset file not found: {path}")
         try:
             dataset = load_features(path)
         except FeatureFileError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-        return dataset, {"source": "file", "path": path}
-    if source != "synthetic":
-        raise ValidationError(f"unknown dataset source {source!r}")
-    try:
-        spec = SyntheticSpec(**{k: v for k, v in data_cfg.items() if k in _SYNTHETIC_KEYS})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        return dataset, {"path": path}
+    spec = SyntheticSpec(**{k: v for k, v in data_cfg.items() if k != "data_seed"})
     data_seed = data_cfg.get("data_seed", 1)
-    resolved = {"source": "synthetic", "data_seed": data_seed, **asdict(spec)}
-    return generate_synthetic(spec, data_seed), resolved
+    return generate_synthetic(spec, data_seed), {"data_seed": data_seed, **asdict(spec)}
 
 
 def _cmd_run(args) -> int:
@@ -197,25 +194,26 @@ def _cmd_run(args) -> int:
         _resolve(config[name], {k: flags.get(k) for k in keys})
         for name, keys in _SECTIONS.items()
     )
-    if args.path:
-        data_cfg["source"] = "file"
 
     out_dir = out_cfg.get("dir")
     if not out_dir:
         raise ValidationError("an output directory is required (--out or [output] dir)")
     workers = out_cfg.get("parallel_trials", 1)
+    if workers < 1:
+        raise ValidationError(f"parallel_trials must be at least 1, got {workers}")
     with_snapshots = out_cfg.get("snapshot", False)
 
-    try:
-        hyper = HyperParams(**hyper_cfg)
-        spec = ProtocolSpec(**{**proto_cfg, "hyper": hyper})
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
+    hyper = HyperParams(**hyper_cfg)
+    spec = ProtocolSpec(**{**proto_cfg, "hyper": hyper})
 
     dataset, data_echo = _build_dataset(data_cfg)
     missing = set(spec.test_sessions) - set(dataset.sessions)
     if missing:
         raise ValidationError(f"test sessions not in dataset: {sorted(missing)}")
+    if set(dataset.sessions) <= set(spec.test_sessions):
+        raise ValidationError(
+            f"test_sessions {list(spec.test_sessions)} leave no session to train on"
+        )
 
     out_path = Path(out_dir)
     if (out_path / "metrics.csv").exists() and not args.force:
@@ -352,13 +350,10 @@ def _cmd_snapshot_dump(args) -> int:
 
 
 def _add_field_flags(parser, defaults, keys: dict, renamed: dict) -> None:
-    """One flag per config key, except keys ``renamed`` maps to None; without
-    ``defaults`` an unset flag stays None so config-file values and dataclass
-    defaults show through."""
+    """One flag per config key; without ``defaults`` an unset flag stays None
+    so config-file values and dataclass defaults show through."""
     for key, parse in keys.items():
         flag = renamed.get(key, "--" + key.replace("_", "-"))
-        if flag is None:
-            continue
         default = getattr(defaults, key) if defaults is not None else None
         if parse is _parse_bool:
             parser.add_argument(flag, dest=key, action="store_true", default=default)

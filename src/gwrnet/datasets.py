@@ -11,6 +11,7 @@ within each sequence. Real pre-extracted features load from a flat CSV.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,8 +115,8 @@ class SyntheticSpec:
             raise ValueError("dim must be at least 2")
         if self.frames_per_seq < 1:
             raise ValueError("frames_per_seq must be at least 1")
-        if min(self.cluster_spread, self.walk_step, self.noise) < 0:
-            raise ValueError("spread, walk and noise must be nonnegative")
+        if not all(0 <= v < math.inf for v in (self.cluster_spread, self.walk_step, self.noise)):
+            raise ValueError("spread, walk and noise must be finite and nonnegative")
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -135,6 +136,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     frame t is ``shifted + dev_t + noise * z'_t``, where
     ``dev_t = WALK_PULLBACK * dev_{t-1} + walk_step * z_t`` and ``dev_{-1} = 0``.
     """
+    if seed < 0:
+        raise ValueError(f"data_seed must be a non-negative integer, got {seed}")
     frames_per_seq, dim = spec.frames_per_seq, spec.dim
     centers = _rng(seed, 0).standard_normal((spec.categories, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -576,10 +576,7 @@ def init_growing(dim: int, hyper: HyperParams, first_two_inputs) -> Network:
     net = Network(dim, hyper, GROWING)
     units = np.zeros((2, hyper.num_contexts + 1, dim))
     for row, vec in zip(units, (a, b)):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (dim,):
-            raise ValueError(f"seed input shape {vec.shape} does not match dimension {dim}")
-        row[0] = vec
+        row[0] = net._check_input(vec)
     net._append_units(units, 1.0)
     return net
 
@@ -594,6 +591,11 @@ def init_static(
     """Static-mode network with n_max neurons drawn uniformly per dimension."""
     low = np.broadcast_to(np.asarray(bounds_low, dtype=float), (dim,))
     high = np.broadcast_to(np.asarray(bounds_high, dtype=float), (dim,))
+    # NaN, infinite bounds and a range past the float maximum all show here
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(high - low).all()
+    if not finite:
+        raise ValueError("bounds and their range must be finite")
     if np.any(low > high):
         raise ValueError("bounds_low must not exceed bounds_high")
     net = Network(dim, hyper, STATIC, rng_seed=seed)

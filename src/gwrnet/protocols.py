@@ -62,6 +62,8 @@ class ProtocolSpec:
             raise ValueError("incremental protocol fixes one iteration per mini-batch")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
         if not self.test_sessions:

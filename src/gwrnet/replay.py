@@ -48,7 +48,8 @@ class TemporalSynapses:
         return self._total
 
     def items(self):
-        """Iterate (prev_id, curr_id, count) sorted by the id pair."""
+        """Iterate (prev_id, curr_id, count) sorted by curr_id, then prev_id;
+        snapshot bytes depend on this order."""
         for curr_id in sorted(self._pred):
             row = self._pred[curr_id]
             for prev_id in sorted(row):

@@ -5,9 +5,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwrnet import cli
 from gwrnet.cli import main
+from gwrnet.model import HyperParams
 
 TINY_GEN = [
     "gen-data",
@@ -132,7 +135,7 @@ def test_run_with_config_file_and_flag_override(tmp_path):
         "trials = 1\n"
         "seed = 3\n"
         "test_sessions = 2\n"
-        f"[dataset]\nsource = file\npath = {data}\n"
+        f"[dataset]\npath = {data}\n"
     )
     out = tmp_path / "run_cfg"
     code = main(["run", "--config", str(config), "--mode", "growing", "--out", str(out)])
@@ -140,6 +143,63 @@ def test_run_with_config_file_and_flag_override(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["protocol"]["mode"] == "growing"  # flag beats file
     assert summary["protocol"]["trials"] == 1
+
+
+def test_ini_path_alone_selects_the_feature_file(tmp_path):
+    data = gen_tiny(tmp_path)
+    _, from_flag = run_tiny(tmp_path, data, "from_flag")
+    config = tmp_path / "path_only.ini"
+    config.write_text(
+        "[protocol]\nkind = incremental\nmode = growing\nn_max = 30\ntrials = 2\n"
+        f"seed = 3\ntest_sessions = 2\n[dataset]\npath = {data}\n"
+    )
+    from_ini = tmp_path / "from_ini"
+    assert main(["run", "--config", str(config), "--out", str(from_ini)]) == 0
+    assert (from_ini / "metrics.csv").read_bytes() == (from_flag / "metrics.csv").read_bytes()
+    assert f"[dataset]\npath = {data}\n\n" in (from_ini / "config.resolved.ini").read_text()
+
+
+@pytest.mark.parametrize(
+    "ini_dataset, flags, keys",
+    [
+        ("path = {data}\ndim = 6\n", [], "dim"),
+        ("path = {data}\n", ["--data-seed", "2"], "data_seed"),
+        ("categories = 3\ndata_seed = 2\n", ["--data", "{data}"], "categories, data_seed"),
+        ("", ["--data", "{data}", "--data-seed", "2"], "data_seed"),
+    ],
+    ids=["ini-path-ini-key", "ini-path-flag-seed", "flag-path-ini-keys", "flag-path-flag-seed"],
+)
+def test_run_rejects_path_with_synthetic_keys(tmp_path, capsys, ini_dataset, flags, keys):
+    data = gen_tiny(tmp_path)
+    config = tmp_path / "mixed.ini"
+    config.write_text("[dataset]\n" + ini_dataset.format(data=data))
+    out = tmp_path / "mixed"
+    flags = [flag.format(data=data) for flag in flags]
+    assert main(["run", "--config", str(config), "--out", str(out)] + flags) == 2
+    assert f"synthetic dataset keys: {keys}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--seed", "-1"], "seed must be"),
+        (["--test-sessions", "1,2,3,4"], "test_sessions"),
+        (["--parallel-trials", "-3"], "parallel_trials"),
+        (["--parallel-trials", "0"], "parallel_trials"),
+        (["--data-seed", "-1"], "data_seed"),
+        (["--data", ""], "dataset file not found"),
+    ],
+    ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "data-seed", "empty-path"],
+)
+def test_run_bad_value_exits_2_naming_it_without_outputs(tmp_path, capsys, extra, named):
+    data = gen_tiny(tmp_path)
+    # the data seed is a synthetic key and the empty path replaces the file
+    data_flags = [] if {"--data-seed", "--data"} & set(extra) else ["--data", str(data)]
+    out = tmp_path / "bad"
+    assert main(TINY_RUN + data_flags + extra + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerun_from_resolved_config_is_byte_identical(tmp_path):
@@ -195,7 +255,7 @@ def test_flag_and_config_key_sets_are_pinned():
             "kind", "mode", "replay", "n_max", "epochs", "trials", "seed", "test_sessions",
         },
         "dataset": {
-            "source", "path", "categories", "instances", "sessions", "dim",
+            "path", "categories", "instances", "sessions", "dim",
             "frames_per_seq", "cluster_spread", "walk_step", "noise", "data_seed",
         },
         "output": {"dir", "snapshot", "parallel_trials"},
@@ -204,10 +264,72 @@ def test_flag_and_config_key_sets_are_pinned():
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "bad.ini"
-    config.write_text("[protocol]\nmodee = growing\n")
-    code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
+    # `source` was the dataset selector before a path alone chose the file
+    for text, key in (("[protocol]\nmodee = growing\n", "modee"),
+                      ("[dataset]\nsource = file\n", "source")):
+        config.write_text(text)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+class _RunReached(Exception):
+    pass
+
+
+def _reach_run(*args, **kwargs):
+    raise _RunReached
+
+
+# a valid run.ini per dataset branch; the synthetic spec is tiny, so a fuzz
+# case that reaches the run costs milliseconds
+_BASE_INI = {
+    "model": {k: cli._format_value(getattr(HyperParams(), k)) for k in cli._HYPER_KEYS},
+    "protocol": {
+        "kind": "incremental", "mode": "growing", "replay": "true", "n_max": "30",
+        "epochs": "0", "trials": "2", "seed": "3", "test_sessions": "2",
+    },
+    "output": {"dir": "out", "snapshot": "false", "parallel_trials": "1"},
+}
+_SYNTHETIC_DATASET = {
+    "categories": "2", "instances": "2", "sessions": "3", "dim": "2", "frames_per_seq": "3",
+    "cluster_spread": "0.7", "walk_step": "0.1", "noise": "0.02", "data_seed": "1",
+}
+_INI_KEYS = [(section, key) for section, keys in cli._SECTIONS.items() for key in keys]
+# other integers stay small so the synthetic branch cannot allocate much; a
+# '%' and a line break test the INI syntax itself
+_INI_VALUES = st.sampled_from(
+    ["", "abc", "-1", "2.0", "inf", "nan", "1e400", "1,2", "12345678901234567890",
+     "100%", "1\nx"]
+) | st.integers(-3, 40).map(str)
+
+
+@settings(max_examples=400, deadline=None)
+@given(with_path=st.booleans(), edit=st.sampled_from(_INI_KEYS), value=_INI_VALUES)
+def test_fuzzed_run_ini_exits_2_or_reaches_the_run(tmp_path_factory, with_path, edit, value):
+    work = tmp_path_factory.getbasetemp() / "ini_fuzz"
+    if not work.exists():
+        work.mkdir()
+        gen_tiny(work)
+    dataset = {"path": str(work / "data.csv")} if with_path else _SYNTHETIC_DATASET
+    sections = {name: dict(keys) for name, keys in {**_BASE_INI, "dataset": dataset}.items()}
+    section, key = edit
+    sections[section][key] = value
+    config = work / "run.ini"
+    config.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    with pytest.MonkeyPatch.context() as patch:
+        # relative output directories land in the work directory
+        patch.chdir(work)
+        patch.setattr(cli, "run_protocol", _reach_run)
+        try:
+            code = main(["run", "--config", str(config)])
+        except _RunReached:
+            return
     assert code == 2
-    assert "modee" in capsys.readouterr().err
 
 
 def test_compare_two_runs_and_self_identity(tmp_path, capsys):

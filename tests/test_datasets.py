@@ -74,6 +74,11 @@ def test_generator_validates_spec():
         SyntheticSpec(categories=0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise=-0.1)
+    for spread in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(cluster_spread=spread)
+    with pytest.raises(ValueError, match="data_seed"):
+        generate_synthetic(SMALL, seed=-1)
 
 
 def test_sequences_are_contiguous_per_triple():

@@ -646,6 +646,22 @@ def test_init_static_rejects_inverted_bounds():
         init_static(2, hyper, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_init_growing_rejects_non_finite_seed_inputs(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        init_growing(2, HyperParams(n_max=10), (np.array([bad, 0.0]), np.ones(2)))
+
+
+@pytest.mark.parametrize(
+    "low, high", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)],
+    ids=["nan", "inf", "minus-inf", "range-overflows"],
+)
+def test_init_static_rejects_non_finite_bounds(low, high):
+    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=5)
+    with pytest.raises(ValueError, match="finite"):
+        init_static(2, hyper, np.array([low, 0.0]), np.array([high, 1.0]), 7)
+
+
 # -- hyperparameter validation -----------------------------------------------------
 
 

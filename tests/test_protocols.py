@@ -82,6 +82,8 @@ def test_spec_rejects_bad_fields():
         tiny_spec(mode="frozen")
     with pytest.raises(ValueError):
         tiny_spec(test_sessions=())
+    with pytest.raises(ValueError, match="seed"):
+        tiny_spec(seed=-1)
 
 
 # -- evaluation ---------------------------------------------------------------

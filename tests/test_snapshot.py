@@ -186,11 +186,13 @@ def _trained_snapshot(seed):
 # every fuzz case edits a fresh parse of this small trained snapshot
 _FUZZ_TEXT = _trained_snapshot(9)
 
-# integers stay small so no edit makes the loader allocate much memory;
-# integral floats stand in for ints written as 2.0
+# the loader checks every declared size against the rows it describes
+# before allocating, so integers far out of range are safe to fuzz; integral
+# floats stand in for ints written as 2.0
 _SMALL_INTS = st.integers(-3, 40)
+_INTS = _SMALL_INTS | st.sampled_from([10**6, 10**12, 10**400, -(10**12)])
 _SCALARS = (
-    st.none() | st.booleans() | _SMALL_INTS | _SMALL_INTS.map(float) | st.floats()
+    st.none() | st.booleans() | _INTS | _SMALL_INTS.map(float) | st.floats()
     | st.text(max_size=4)
 )
 _JSON_VALUES = (
