@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 import typing
@@ -207,23 +208,23 @@ def _cmd_run(args) -> int:
     spec = ProtocolSpec(**{**proto_cfg, "hyper": hyper})
 
     dataset, data_echo = _build_dataset(data_cfg)
-    missing = set(spec.test_sessions) - set(dataset.sessions)
-    if missing:
-        raise ValidationError(f"test sessions not in dataset: {sorted(missing)}")
-    if set(dataset.sessions) <= set(spec.test_sessions):
-        raise ValidationError(
-            f"test_sessions {list(spec.test_sessions)} leave no session to train on"
-        )
-
     out_path = Path(out_dir)
     if (out_path / "metrics.csv").exists() and not args.force:
         raise ValidationError(
             f"{out_dir} already holds a completed run (use --force to overwrite)"
         )
-    out_path.mkdir(parents=True, exist_ok=True)
 
+    # the directory is created only once the run has succeeded, so an input
+    # that fails inside a trial leaves nothing behind
     result = run_protocol(spec, dataset, workers=workers, with_snapshots=with_snapshots)
 
+    out_path.mkdir(parents=True, exist_ok=True)
+    # a forced rerun replaces every snapshot of the run it overwrites
+    snap_dir = out_path / "snapshots"
+    for stale in snap_dir.glob("trial_*.json"):
+        stale.unlink()
+    with contextlib.suppress(OSError):
+        snap_dir.rmdir()  # only succeeds once it is empty
     write_metrics_csv(result.records, out_path / "metrics.csv")
     write_timing_csv(result.records, out_path / "timing.csv")
     # echoed in declaration order whether a value came from a flag, the
@@ -249,7 +250,6 @@ def _cmd_run(args) -> int:
         fh.write("\n")
     _echo_config(out_path / "config.resolved.ini", echo_sections)
     if with_snapshots:
-        snap_dir = out_path / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         for trial, text in result.snapshots.items():
             (snap_dir / f"trial_{trial:03d}.json").write_text(text, encoding="utf-8")

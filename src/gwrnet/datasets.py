@@ -10,14 +10,11 @@ within each sequence. Real pre-extracted features load from a flat CSV.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # pullback factor of the within-sequence walk; keeps the walk stationary
 # around the session prototype instead of drifting off
@@ -290,16 +287,12 @@ def load_features(path) -> Dataset:
 
 
 def split_by_sessions(dataset: Dataset, test_sessions) -> tuple[Dataset, Dataset]:
-    """Disjoint (train, test) partition by session id."""
+    """Disjoint (train, test) partition by session id; either part may be
+    empty."""
     test_ids = set(test_sessions)
-    known = set(dataset.sessions)
-    unknown = test_ids - known
+    unknown = test_ids - set(dataset.sessions)
     if unknown:
-        raise ValueError(f"unknown session ids: {sorted(unknown)}")
+        raise ValueError(f"unknown session ids in test sessions: {sorted(unknown)}")
     train = [s for s in dataset.sequences if s.session not in test_ids]
     test = [s for s in dataset.sequences if s.session in test_ids]
-    if not train:
-        log.warning("train split is empty: all %d sessions are test sessions", len(known))
-    if not test:
-        log.warning("test split is empty: no test sessions selected")
     return Dataset(train, dim=dataset.dim), Dataset(test, dim=dataset.dim)

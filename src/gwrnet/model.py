@@ -359,7 +359,12 @@ class Network:
         w = d.argmin()
         d_b = float(d[w])
         d[w] = np.inf
-        return int(rows[w]), int(rows[d.argmin()]), d_b
+        s = d.argmin()
+        # past an overflow every distance but the winner's may be inf, and the
+        # runner-up search would land on the winner again
+        if not (d_b < np.inf and d[s] < np.inf):
+            raise ValueError("matching distances overflow: feature values or alpha are too large")
+        return int(rows[w]), int(rows[s]), d_b
 
     def _store_norms(self, rows, units: np.ndarray) -> None:
         """Cache the norms of ``units``, the current contents of ``rows``

@@ -93,62 +93,30 @@ class MetricsRecord:
     per_category: dict[str, float]
 
 
-@dataclass
-class EvalResult:
-    overall: float
-    correct: int
-    total: int
-    per_category: dict[str, tuple[int, int]]  # category -> (correct, frames)
-
-    def category_accuracy(self, category: str) -> float:
-        correct, total = self.per_category[category]
-        return correct / total if total else 0.0
-
-    def subset_accuracy(self, categories) -> float:
-        pairs = [self.per_category[c] for c in categories if c in self.per_category]
-        total = sum(t for _, t in pairs)
-        return sum(c for c, _ in pairs) / total if total else 0.0
-
-
-def evaluate(network: Network, label_counts: LabelAssociations, test_split: Dataset) -> EvalResult:
-    """Frame-level instance accuracy over the test split.
-
-    Test sequences are walked in order with a fresh context per sequence;
-    absent predictions count as wrong.
-    """
+def evaluate(
+    network: Network, label_counts: LabelAssociations, test_split: Dataset
+) -> dict[str, tuple[int, int]]:
+    """Per-category ``(correct, frames)`` counts of frame-level instance
+    recognition over the test split. Test sequences are walked in order with
+    a fresh context per sequence; absent predictions count as wrong."""
     if test_split.num_frames == 0:
         raise ValueError("empty test split")
-    per_category = {c: [0, 0] for c in test_split.categories}
-    correct = 0
+    counts = {c: [0, 0] for c in test_split.categories}
     for seq in test_split.sequences:
         ctx = network.new_match_context()
-        bucket = per_category[seq.category]
+        bucket = counts[seq.category]
         for t in range(len(seq)):
             pred = classify_sample(network, label_counts, seq.features[t], ctx)
             bucket[1] += 1
             if pred == seq.instance:
                 bucket[0] += 1
-                correct += 1
-    total = test_split.num_frames
-    return EvalResult(
-        overall=correct / total,
-        correct=correct,
-        total=total,
-        per_category={c: (v[0], v[1]) for c, v in per_category.items()},
-    )
+    return {c: (v[0], v[1]) for c, v in counts.items()}
 
 
-def forgetting_metrics(records: list[MetricsRecord]) -> dict[str, float]:
-    """Per-category forgetting over one trial: peak accuracy minus final."""
-    ordered = sorted(records, key=lambda r: r.checkpoint)
-    if len(ordered) < 2:
-        raise ValueError("forgetting needs at least two checkpoints")
-    final = ordered[-1].per_category
-    result = {}
-    for category in final:
-        peak = max(r.per_category[category] for r in ordered)
-        result[category] = peak - final[category]
-    return result
+def _accuracy(counts) -> float:
+    """Correct over frames, summed over (correct, frames) pairs; 0 for none."""
+    frames = sum(f for _, f in counts)
+    return sum(c for c, _ in counts) / frames if frames else 0.0
 
 
 def _expand_bounds(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,12 +139,6 @@ def _init_network(spec: ProtocolSpec, dim: int, first_batch: np.ndarray, trial: 
     if first_batch.shape[0] < 2:
         raise ValueError("growing mode needs at least two training frames")
     return init_growing(dim, hyper, (first_batch[0], first_batch[1]))
-
-
-@dataclass
-class _TrialOutput:
-    records: list[MetricsRecord]
-    snapshot: str | None
 
 
 def incremental_plan(
@@ -226,12 +188,10 @@ def _trial_plan(spec: ProtocolSpec, train: Dataset, trial: int):
     ]
 
 
-def _run_trial(job) -> _TrialOutput:
-    """Train, optionally replay, and evaluate at every checkpoint of the plan."""
-    spec, dataset, trial, with_snapshot = job
-    train, test = split_by_sessions(dataset, spec.test_sessions)
-    if train.num_frames == 0:
-        raise ValueError("train split is empty")
+def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
+    """Train, optionally replay, and score every checkpoint of the plan;
+    returns the trial's records and, if asked for, its snapshot."""
+    spec, train, test, trial, with_snapshot = job
     seed_frames, checkpoints = _trial_plan(spec, train, trial)
     network = _init_network(spec, train.dim, seed_frames, trial)
     synapses = TemporalSynapses()
@@ -249,9 +209,10 @@ def _run_trial(job) -> _TrialOutput:
         network.reset_context()
         if spec.replay:
             replay_steps += replay_episode(network, synapses, label_counts).steps_applied
-        result = evaluate(network, label_counts, test)
+        counts = evaluate(network, label_counts, test)
         now = time.perf_counter()
-        per_cat = {c: result.category_accuracy(c) for c in result.per_category}
+        per_cat = {c: _accuracy([pair]) for c, pair in counts.items()}
+        # a category's forgetting: its best accuracy since first presented minus now
         for c in encountered:
             if c in per_cat:
                 peaks[c] = max(peaks.get(c, 0.0), per_cat[c])
@@ -266,8 +227,8 @@ def _run_trial(job) -> _TrialOutput:
                 mode=spec.mode,
                 replay=spec.replay,
                 n_neurons=network.num_neurons,
-                acc_overall=result.overall,
-                acc_seen=result.subset_accuracy(encountered),
+                acc_overall=_accuracy(counts.values()),
+                acc_seen=_accuracy([counts[c] for c in encountered if c in counts]),
                 forgetting_mean=forgetting,
                 replay_steps=replay_steps,
                 wall_ms=(now - last) * 1000.0,
@@ -276,7 +237,7 @@ def _run_trial(job) -> _TrialOutput:
         )
         last = now
     snapshot = save_snapshot(network, synapses, label_counts) if with_snapshot else None
-    return _TrialOutput(records=records, snapshot=snapshot)
+    return records, snapshot
 
 
 @dataclass
@@ -292,12 +253,16 @@ def run_protocol(
     workers: int = 1,
     with_snapshots: bool = False,
 ) -> ProtocolResult:
-    """Run all trials of a protocol; record order is (trial, checkpoint)."""
+    """Run all trials of a protocol; record order is (trial, checkpoint). The
+    sessions are split and checked once, before any trial starts."""
+    train, test = split_by_sessions(dataset, spec.test_sessions)
+    if train.num_frames == 0:
+        raise ValueError(f"test_sessions {list(spec.test_sessions)} leave no session to train on")
     log.info(
         "running %s: %d trial(s), n_max=%d, %d workers",
         spec.label, spec.trials, spec.n_max, workers,
     )
-    jobs = [(spec, dataset, trial, with_snapshots) for trial in range(spec.trials)]
+    jobs = [(spec, train, test, trial, with_snapshots) for trial in range(spec.trials)]
     if workers <= 1 or spec.trials == 1:
         outputs = [_run_trial(job) for job in jobs]
     else:
@@ -305,10 +270,10 @@ def run_protocol(
             outputs = list(pool.map(_run_trial, jobs))
     records: list[MetricsRecord] = []
     snapshots: dict[int, str] = {}
-    for trial, output in enumerate(outputs):
-        records.extend(output.records)
-        if output.snapshot is not None:
-            snapshots[trial] = output.snapshot
+    for trial, (trial_records, snapshot) in enumerate(outputs):
+        records.extend(trial_records)
+        if snapshot is not None:
+            snapshots[trial] = snapshot
     return ProtocolResult(spec=spec, records=records, snapshots=snapshots)
 
 

@@ -4,12 +4,14 @@ import argparse
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwrnet import cli
 from gwrnet.cli import main
+from gwrnet.datasets import Dataset, Sequence, write_features
 from gwrnet.model import HyperParams
 
 TINY_GEN = [
@@ -110,6 +112,55 @@ def test_run_rejects_unknown_test_session(tmp_path, capsys):
     code = main(TINY_RUN[:-2] + ["--test-sessions", "9", "--data", str(data), "--out", str(out)])
     assert code == 2
     assert "test sessions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snapshot", [[], ["--snapshot"]], ids=["plain", "snapshot"])
+def test_forced_rerun_leaves_only_its_own_snapshots(tmp_path, snapshot):
+    data = gen_tiny(tmp_path)
+    code, out = run_tiny(tmp_path, data, "rerun", ["--trials", "3", "--snapshot"])
+    assert code == 0
+    assert len(list((out / "snapshots").iterdir())) == 3
+    code, _ = run_tiny(tmp_path, data, "rerun", ["--trials", "1", "--force"] + snapshot)
+    assert code == 0
+    snapshots = out / "snapshots"
+    if snapshot:
+        assert [p.name for p in snapshots.iterdir()] == ["trial_000.json"]
+    else:
+        assert not snapshots.exists()
+
+
+def _one_training_frame():
+    # session 1, the only training session, holds a single frame
+    return [
+        Sequence("a", "a0", 1, 0, np.zeros((1, 2))),
+        Sequence("a", "a0", 2, 1, np.eye(2)),
+    ]
+
+
+def _huge_features():
+    rng = np.random.default_rng(0)
+    return [
+        Sequence(f"c{i % 2}", f"c{i % 2}o0", 1 + i // 5, i, rng.normal(size=(1, 4)) * 1e200)
+        for i in range(20)
+    ]
+
+
+@pytest.mark.parametrize(
+    "sequences, message",
+    [
+        (_one_training_frame, "growing mode needs at least two training frames"),
+        (_huge_features, "matching distances overflow"),
+    ],
+    ids=["one-training-frame", "overflow"],
+)
+def test_trial_error_exits_2_without_outputs(tmp_path, capsys, sequences, message):
+    data = tmp_path / "data.csv"
+    write_features(Dataset(sequences()), data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_tiny(tmp_path, data, "failed", ["--trials", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_reruns_byte_identically(tmp_path):

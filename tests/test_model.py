@@ -201,6 +201,15 @@ def test_find_bmu_breaks_ties_by_smaller_id():
     assert (b, s) == (0, 1)
 
 
+def test_step_rejects_overflowing_distances():
+    """With every distance inf, the runner-up search would return the winner
+    again; the match names the overflow instead."""
+    net = two_neuron_net(hyper=HyperParams(num_contexts=0, alpha=(1e308,), n_max=50))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="matching distances overflow"):
+            net.step(np.array([2.0, 2.0]))
+
+
 # -- input validation and invariants ----------------------------------------------
 
 

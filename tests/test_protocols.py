@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gwrnet import protocols
 from gwrnet.datasets import SyntheticSpec, generate_synthetic, split_by_sessions
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import HyperParams, init_growing, init_static
@@ -12,7 +13,6 @@ from gwrnet.protocols import (
     MetricsRecord,
     ProtocolSpec,
     evaluate,
-    forgetting_metrics,
     incremental_plan,
     metrics_census,
     run_protocol,
@@ -103,8 +103,7 @@ def test_evaluate_perfect_memorization():
         for t in range(len(s)):
             nid = net._append_neuron(s.features[t], np.zeros((0, test.dim)), 1.0)
             counts.record(nid, s.instance)
-    result = evaluate(net, counts, test)
-    assert result.overall == 1.0
+    assert all(correct == frames for correct, frames in evaluate(net, counts, test).values())
 
 
 def test_evaluate_unlabeled_network_scores_zero():
@@ -112,9 +111,8 @@ def test_evaluate_unlabeled_network_scores_zero():
     _, test = split_by_sessions(dataset, TEST_SESSIONS)
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=5)
     net = init_static(test.dim, hyper, -1.0, 1.0, 3)
-    result = evaluate(net, LabelAssociations(), test)
-    assert result.overall == 0.0
-    assert all(c == 0 for c, _ in result.per_category.values())
+    counts = evaluate(net, LabelAssociations(), test)
+    assert all(c == 0 for c, _ in counts.values())
 
 
 def test_evaluate_rejects_empty_split():
@@ -132,8 +130,9 @@ def test_evaluate_per_category_totals_cover_split():
     _, test = split_by_sessions(dataset, TEST_SESSIONS)
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=5)
     net = init_static(test.dim, hyper, -1.0, 1.0, 3)
-    result = evaluate(net, LabelAssociations(), test)
-    assert sum(t for _, t in result.per_category.values()) == test.num_frames
+    counts = evaluate(net, LabelAssociations(), test)
+    assert list(counts) == test.categories
+    assert sum(t for _, t in counts.values()) == test.num_frames
 
 
 # -- incremental protocol -------------------------------------------------------
@@ -297,23 +296,61 @@ def fake_record(trial, checkpoint, per_category, acc=None):
     )
 
 
-def test_forgetting_zero_without_decline():
-    records = [fake_record(0, i + 1, {"a": 0.9}) for i in range(3)]
-    assert forgetting_metrics(records) == {"a": pytest.approx(0.0)}
+def scripted_trial(monkeypatch, script):
+    """Records of a one-trial incremental run whose evaluation at checkpoint i
+    returns ``script[i]``: per-category (correct, frames) counts keyed by the
+    position of the category in the trial's presentation order."""
+    dataset = tiny_dataset()
+    spec = tiny_spec(trials=1)
+    order, _ = incremental_plan(spec, split_by_sessions(dataset, TEST_SESSIONS)[0], 0)
+    calls = iter(script)
+    monkeypatch.setattr(
+        protocols, "evaluate",
+        lambda *_: {order[i]: pair for i, pair in next(calls).items()},
+    )
+    return order, run_protocol(spec, dataset).records
 
 
-def test_forgetting_peak_minus_final():
-    records = [
-        fake_record(0, 1, {"a": 0.9}),
-        fake_record(0, 2, {"a": 0.5}),
-        fake_record(0, 3, {"a": 0.4}),
-    ]
-    assert forgetting_metrics(records)["a"] == pytest.approx(0.5)
+# the first-presented category declines from 0.9 to 0.4; the third scores
+# 1.0 before its presentation at checkpoint 3 and 0.7 at it
+DECLINING = [
+    {0: (9, 10), 1: (2, 10), 2: (10, 10)},
+    {0: (5, 10), 1: (8, 10), 2: (6, 10)},
+    {0: (4, 10), 1: (8, 10), 2: (7, 10)},
+]
 
 
-def test_forgetting_needs_two_checkpoints():
-    with pytest.raises(ValueError):
-        forgetting_metrics([fake_record(0, 1, {"a": 0.9})])
+def test_checkpoint_scores_come_from_evaluation_counts(monkeypatch):
+    order, records = scripted_trial(monkeypatch, DECLINING)
+    assert [r.acc_overall for r in records] == [21 / 30, 19 / 30, 19 / 30]
+    # the categories presented so far: one, two, then all three
+    assert [r.acc_seen for r in records] == [9 / 10, 13 / 20, 19 / 30]
+    assert records[1].per_category == {order[0]: 0.5, order[1]: 0.8, order[2]: 0.6}
+
+
+def test_forgetting_peak_minus_final(monkeypatch):
+    _, records = scripted_trial(monkeypatch, DECLINING)
+    # the peak counts only from a category's first presentation: the third
+    # scored 1.0 before it was presented and has forgotten nothing since
+    assert [r.forgetting_mean for r in records] == pytest.approx(
+        [0.0, (0.4 + 0.0) / 2, (0.5 + 0.0 + 0.0) / 3]
+    )
+
+
+def test_forgetting_zero_without_decline(monkeypatch):
+    # the later categories score higher before their presentation than at it,
+    # and no category declines once presented
+    _, records = scripted_trial(monkeypatch, [
+        {0: (6, 10), 1: (9, 10), 2: (10, 10)},
+        {0: (6, 10), 1: (3, 10), 2: (2, 10)},
+        {0: (8, 10), 1: (5, 10), 2: (2, 10)},
+    ])
+    assert [r.forgetting_mean for r in records] == [0.0, 0.0, 0.0]
+
+
+def test_run_protocol_rejects_a_split_with_no_train_session():
+    with pytest.raises(ValueError, match=r"test_sessions \[1, 2, 3, 4\] leave no session"):
+        run_protocol(tiny_spec(test_sessions=(1, 2, 3, 4)), tiny_dataset())
 
 
 def test_metrics_csv_is_deterministic_and_excludes_wall_time(tmp_path):
