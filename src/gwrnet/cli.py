@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .datasets import (
     Dataset,
-    FeatureFileError,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -38,10 +37,6 @@ from .protocols import (
     write_timing_csv,
 )
 from .snapshot import load_snapshot_file
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def _parse_bool(raw: str) -> bool:
@@ -106,21 +101,21 @@ def _load_config(path: str) -> dict[str, dict]:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ValidationError(f"malformed config file {path}: {exc}") from None
+        raise ValueError(f"malformed config file {path}: {exc}") from None
     if not read:
-        raise ValidationError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     values: dict[str, dict] = {name: {} for name in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ValidationError(f"unknown config section [{section}]")
+            raise ValueError(f"unknown config section [{section}]")
         known = _SECTIONS[section]
         for key, raw in parser.items(section):
             if key not in known:
-                raise ValidationError(f"unknown config key {key!r} in [{section}]")
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
             try:
                 values[section][key] = known[key](raw)
             except ValueError as exc:
-                raise ValidationError(f"bad value for {section}.{key}: {exc}") from None
+                raise ValueError(f"bad value for {section}.{key}: {exc}") from None
     return values
 
 
@@ -172,15 +167,15 @@ def _build_dataset(data_cfg: dict) -> tuple[Dataset, dict]:
         path = data_cfg["path"]
         ignored = sorted(data_cfg.keys() - {"path"})
         if ignored:
-            raise ValidationError(
+            raise ValueError(
                 f"dataset path given together with synthetic dataset keys: {', '.join(ignored)}"
             )
         if not Path(path).is_file():
-            raise ValidationError(f"dataset file not found: {path}")
+            raise ValueError(f"dataset file not found: {path}")
         try:
             dataset = load_features(path)
-        except FeatureFileError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return dataset, {"path": path}
     spec = SyntheticSpec(**{k: v for k, v in data_cfg.items() if k != "data_seed"})
     data_seed = data_cfg.get("data_seed", 1)
@@ -198,10 +193,10 @@ def _cmd_run(args) -> int:
 
     out_dir = out_cfg.get("dir")
     if not out_dir:
-        raise ValidationError("an output directory is required (--out or [output] dir)")
+        raise ValueError("an output directory is required (--out or [output] dir)")
     workers = out_cfg.get("parallel_trials", 1)
     if workers < 1:
-        raise ValidationError(f"parallel_trials must be at least 1, got {workers}")
+        raise ValueError(f"parallel_trials must be at least 1, got {workers}")
     with_snapshots = out_cfg.get("snapshot", False)
 
     hyper = HyperParams(**hyper_cfg)
@@ -210,7 +205,7 @@ def _cmd_run(args) -> int:
     dataset, data_echo = _build_dataset(data_cfg)
     out_path = Path(out_dir)
     if (out_path / "metrics.csv").exists() and not args.force:
-        raise ValidationError(
+        raise ValueError(
             f"{out_dir} already holds a completed run (use --force to overwrite)"
         )
 
@@ -268,7 +263,7 @@ def _overall_accuracy(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float
     at each checkpoint, read from summary.json."""
     path = Path(run_dir) / "summary.json"
     if not path.is_file():
-        raise ValidationError(f"missing summary.json in {run_dir}")
+        raise ValueError(f"missing summary.json in {run_dir}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -280,7 +275,7 @@ def _overall_accuracy(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float
         if any(type(v) is not float for pair in stats for v in pair):
             raise ValueError("acc_overall mean and std are not floats")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed summary.json in {run_dir}: {exc!r}") from None
+        raise ValueError(f"malformed summary.json in {run_dir}: {exc!r}") from None
     return grid, stats
 
 
@@ -289,7 +284,7 @@ def _cmd_compare(args) -> int:
     grids, runs = zip(*(_overall_accuracy(run_dir) for run_dir in names))
     if len(set(grids)) != 1:
         detail = "; ".join(f"{d}: {list(g)}" for d, g in zip(names, grids))
-        raise ValidationError(f"incompatible checkpoint grids: {detail}")
+        raise ValueError(f"incompatible checkpoint grids: {detail}")
     # one row per checkpoint: the checkpoint, then each run's (mean, std)
     table = [(cp, [run[i] for run in runs]) for i, cp in enumerate(grids[0])]
 
@@ -318,7 +313,7 @@ def _cmd_compare(args) -> int:
 def _cmd_snapshot_dump(args) -> int:
     path = Path(args.snapshot_path)
     if not path.is_file():
-        raise ValidationError(f"snapshot file not found: {path}")
+        raise ValueError(f"snapshot file not found: {path}")
     network, synapses, label_counts = load_snapshot_file(path)
     print(f"snapshot {path}")
     print(f"  mode={network.mode} dim={network.dim} steps={network.step_count}")

@@ -200,25 +200,22 @@ def write_features(dataset: Dataset, path) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
-class FeatureFileError(ValueError):
-    """Malformed feature CSV; message carries the offending line number."""
-
-
 def load_features(path) -> Dataset:
-    """Load a feature CSV written by :func:`write_features` (or compatible)."""
+    """Load a feature CSV written by :func:`write_features` (or compatible);
+    a malformed file raises ValueError naming the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise FeatureFileError("line 1: empty file")
+        raise ValueError("line 1: empty file")
     header = lines[0].split(",")
     if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:
-        raise FeatureFileError(
+        raise ValueError(
             f"line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}"
         )
     feature_cols = header[len(CSV_FIXED_COLUMNS) :]
     dim = len(feature_cols)
     if dim < 1 or feature_cols != [f"f{i}" for i in range(dim)]:
-        raise FeatureFileError("line 1: feature columns must be f0..f{n-1}")
+        raise ValueError("line 1: feature columns must be f0..f{n-1}")
 
     # sequence id -> (category, instance, session) and its [start, stop) rows
     # in file order; frame indices must rise strictly within a sequence and a
@@ -234,7 +231,7 @@ def load_features(path) -> Dataset:
             continue
         cells = line.split(",")
         if len(cells) != len(header):
-            raise FeatureFileError(
+            raise ValueError(
                 f"line {lineno}: expected {len(header)} columns, got {len(cells)}"
             )
         category, instance = cells[0], cells[1]
@@ -244,19 +241,19 @@ def load_features(path) -> Dataset:
             frame_index = int(cells[4])
             flat.extend(map(float, cells[5:]))
         except ValueError as exc:
-            raise FeatureFileError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {lineno}: {exc}") from None
         key = (category, instance, session)
         if seq_id in seen:
             if seen[seq_id] != key:
-                raise FeatureFileError(
+                raise ValueError(
                     f"line {lineno}: sequence {seq_id} changes labels mid-stream"
                 )
             if open_seq != seq_id:
-                raise FeatureFileError(
+                raise ValueError(
                     f"line {lineno}: sequence {seq_id} is not contiguous"
                 )
             if frame_index <= last_frame[seq_id]:
-                raise FeatureFileError(
+                raise ValueError(
                     f"line {lineno}: frame index {frame_index} does not increase"
                 )
         else:
@@ -267,12 +264,12 @@ def load_features(path) -> Dataset:
         last_frame[seq_id] = frame_index
         open_seq = seq_id
     if not row_lines:
-        raise FeatureFileError("line 2: no data rows")
+        raise ValueError("line 2: no data rows")
     matrix = np.array(flat).reshape(len(row_lines), dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         bad = row_lines[int(np.argmin(finite))]
-        raise FeatureFileError(f"line {bad}: non-finite feature value")
+        raise ValueError(f"line {bad}: non-finite feature value")
     sequences = [
         Sequence(
             category=seen[seq_id][0],

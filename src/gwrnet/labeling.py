@@ -21,21 +21,28 @@ class LabelAssociations:
 
     ``rows`` restores histograms from (neuron_id, label, count) triples as
     :meth:`items` yields them; list labels (how JSON carries tuples) come back
-    as tuples so they stay hashable.
+    as tuples so they stay hashable; ``replay_records`` of them came from replay.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), replay_records: int = 0):
         self._rows: dict[int, dict[Label, int]] = {}
         for neuron_id, label, count in rows:
-            self._rows.setdefault(neuron_id, {})[_hashable(label)] = count
-        self.total_records = 0
-        self.replay_records = 0
+            row, label = self._rows.setdefault(neuron_id, {}), _hashable(label)
+            if label in row:
+                raise ValueError(f"label {label!r} of neuron {neuron_id} is listed twice")
+            row[label] = count
+        if replay_records > self.total_records:
+            raise ValueError(f"{replay_records} replay records exceed {self.total_records} records")
+        self.replay_records = replay_records
+
+    @property
+    def total_records(self) -> int:
+        return sum(sum(row.values()) for row in self._rows.values())
 
     def record(self, neuron_id: int, label: Label, replay: bool = False) -> None:
         """Count one win of ``label`` for ``neuron_id``."""
         row = self._rows.setdefault(neuron_id, {})
         row[label] = row.get(label, 0) + 1
-        self.total_records += 1
         if replay:
             self.replay_records += 1
 

@@ -167,10 +167,6 @@ class MatchContext:
     query: np.ndarray  # (num_contexts + 1, dim)
     prev_bmu: Optional[int] = None
 
-    @property
-    def context(self) -> np.ndarray:
-        return self.query[1:]
-
 
 class Network:
     """Dynamic neuron set with undirected topology and global temporal context.
@@ -286,12 +282,14 @@ class Network:
         """Raise RuntimeError naming every broken structural invariant:
         symmetric adjacency without self-edges over exactly the neuron ids,
         habituation in [0, 1] and at or above ``hyper.habituation_floor``,
-        finite units, num_neurons <= n_max, and cached norms equal to
-        recomputed ones."""
+        finite units, num_neurons <= n_max, prev_bmu None or a neuron id,
+        and cached norms equal to recomputed ones."""
         n = self.num_neurons
         problems = []
         if not 0 <= n <= self.hyper.n_max:
             problems.append(f"num_neurons {n} outside [0, {self.hyper.n_max}]")
+        if self.prev_bmu is not None and not self.has_neuron(self.prev_bmu):
+            problems.append(f"prev_bmu {self.prev_bmu} names no neuron")
         if sorted(self._adj) != list(range(n)):
             problems.append("adjacency is not keyed by the neuron ids")
         for i, nbrs in self._adj.items():
@@ -461,6 +459,10 @@ class Network:
         """Insert a neuron halfway between winner and input when the activity
         and habituation gates both pass and capacity remains; rewires the
         winner pair through the new unit. Returns the new id, or None."""
+        self._check_id(bmu_id)
+        self._check_id(second_id)
+        if bmu_id == second_id:
+            raise ValueError("winner and runner-up must be different neurons")
         x = self._check_input(x)
         if self.mode != GROWING:
             return None
@@ -490,7 +492,7 @@ class Network:
         start = self.num_neurons
         end = start + units.shape[0]
         if end > self.hyper.n_max:
-            raise RuntimeError("capacity exhausted")
+            raise RuntimeError(f"{end} neurons exceed n_max {self.hyper.n_max}")
         if end > len(self._hab):
             self._grow_storage(end)
         self._units[start:end] = units

@@ -15,6 +15,7 @@ parallel worker processes.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -258,6 +259,20 @@ def run_protocol(
     train, test = split_by_sessions(dataset, spec.test_sessions)
     if train.num_frames == 0:
         raise ValueError(f"test_sessions {list(spec.test_sessions)} leave no session to train on")
+    # With B the largest feature magnitude, every unit, context and query
+    # component stays within (1 + 2 * BOUNDS_MARGIN) * B: units start as frames
+    # or inside the expanded bounds, and adaptation, insertion and the context
+    # rule form convex combinations. So every alpha-weighted squared norm or
+    # distance is at most 4.84 * sum(alpha) * dim * B**2, and the screen's
+    # 4 (M + Q) at most 9.68 times sum(alpha) * dim * B**2; a finite 16 times
+    # that leaves nothing in matching that can overflow.
+    big = max((float(np.abs(s.features).max(initial=0.0)) for s in dataset.sequences), default=0.0)
+    alpha = sum(float(a) for a in spec.hyper.alpha)
+    if not math.isfinite(16.0 * alpha * dataset.dim * big * big):
+        raise ValueError(
+            f"matching distances overflow: feature magnitude B = {big!r} and "
+            f"sum(alpha) = {alpha!r} are too large"
+        )
     log.info(
         "running %s: %d trial(s), n_max=%d, %d workers",
         spec.label, spec.trials, spec.n_max, workers,

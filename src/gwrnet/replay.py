@@ -28,15 +28,15 @@ class TemporalSynapses:
     def __init__(self, rows=()):
         # keyed by target so predecessor lookups, the only hot query, are O(1)
         self._pred: dict[int, dict[int, int]] = {}
-        self._total = 0
         for prev_id, curr_id, count in rows:
-            self._pred.setdefault(curr_id, {})[prev_id] = count
-            self._total += count
+            row = self._pred.setdefault(curr_id, {})
+            if prev_id in row:
+                raise ValueError(f"transition ({prev_id}, {curr_id}) is listed twice")
+            row[prev_id] = count
 
     def record(self, prev_id: int, curr_id: int) -> None:
         row = self._pred.setdefault(curr_id, {})
         row[prev_id] = row.get(prev_id, 0) + 1
-        self._total += 1
 
     def count(self, prev_id: int, curr_id: int) -> int:
         return self._pred.get(curr_id, {}).get(prev_id, 0)
@@ -45,7 +45,7 @@ class TemporalSynapses:
         return dict(self._pred.get(curr_id, {}))
 
     def total(self) -> int:
-        return self._total
+        return sum(sum(row.values()) for row in self._pred.values())
 
     def items(self):
         """Iterate (prev_id, curr_id, count) sorted by curr_id, then prev_id;

@@ -142,8 +142,6 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
 
     neurons = _list(doc["neurons"], "neurons")
     n, k = len(neurons), hyper.num_contexts
-    if n > hyper.n_max:
-        raise ValueError(f"snapshot holds {n} neurons, above n_max {hyper.n_max}")
     for expected, entry in enumerate(neurons):
         if not isinstance(entry, dict):
             raise ValueError(f"snapshot neuron {expected} is not a JSON object")
@@ -157,38 +155,32 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     contexts = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
     global_context = _floats(doc["global_context"], (k, dim), "global context")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
-    if not ((habs >= 0.0) & (habs <= 1.0)).all():
-        raise ValueError("snapshot habituations must lie in [0, 1]")
-    if not (habs >= hyper.habituation_floor).all():
-        raise ValueError("snapshot habituations fall below the floor 1 - 1/kappa")
     network = Network(dim, hyper, doc["mode"], rng_seed=_count(doc["rng_seed"], "rng_seed"))
-    network._append_units(np.concatenate([weights[:, None], contexts], axis=1), habs)
-
-    edges = _table(doc["edges"], 2, 2, n, "edges")
-    if (edges[:, 0] == edges[:, 1]).any():
-        raise ValueError("snapshot edges hold a self-edge")
-    for i, j in edges.tolist():
-        network.connect(i, j)
-    prev_bmu = doc["prev_bmu"]
-    if prev_bmu is not None and _count(prev_bmu, "prev_bmu") >= n:
-        raise ValueError(f"snapshot prev_bmu {prev_bmu} names a neuron that does not exist")
-    network.prev_bmu = prev_bmu
+    network.prev_bmu = None if doc["prev_bmu"] is None else _count(doc["prev_bmu"], "prev_bmu")
     network.step_count = _count(doc["step_count"], "step_count")
     network.global_context = global_context
+    # the network states its own rules; the checks above are of the format
+    try:
+        network._append_units(np.concatenate([weights[:, None], contexts], axis=1), habs)
+        for i, j in _table(doc["edges"], 2, 2, n, "edges").tolist():
+            network.connect(i, j)
+        network.check_invariants()
+    except RuntimeError as exc:
+        raise ValueError(f"snapshot is not a valid network: {exc}") from None
 
-    transitions = doc["transitions"]
-    _table(transitions, 3, 2, n, "transitions")
+    synapses = TemporalSynapses(_table(doc["transitions"], 3, 2, n, "transitions").tolist())
     label_rows = _list(doc["label_counts"], "label_counts")
     if not all(isinstance(row, list) and len(row) == 3 for row in label_rows):
         raise ValueError("snapshot label_counts are not (neuron, label, count) rows")
     _table([[row[0], row[2]] for row in label_rows], 2, 1, n, "label_counts")
-    synapses = TemporalSynapses(transitions)
+    replay_records = _count(doc["replay_label_records"], "replay_label_records")
     try:
-        label_counts = LabelAssociations(label_rows)
+        label_counts = LabelAssociations(label_rows, replay_records)
     except TypeError:
         raise ValueError("snapshot label_counts hold an unhashable label") from None
-    label_counts.replay_records = _count(doc["replay_label_records"], "replay_label_records")
-    label_counts.total_records = _count(doc["total_label_records"], "total_label_records")
+    total = _count(doc["total_label_records"], "total_label_records")
+    if total != label_counts.total_records:
+        raise ValueError(f"snapshot total_label_records {total} is not the label count sum")
     return network, synapses, label_counts
 
 

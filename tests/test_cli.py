@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -145,19 +146,27 @@ def _huge_features():
     ]
 
 
+def _plain_features():
+    rng = np.random.default_rng(0)
+    return [Sequence("c0", "c0o0", 1 + i // 5, i, rng.normal(size=(2, 4))) for i in range(20)]
+
+
 @pytest.mark.parametrize(
-    "sequences, message",
+    "sequences, flags, message",
     [
-        (_one_training_frame, "growing mode needs at least two training frames"),
-        (_huge_features, "matching distances overflow"),
+        (_one_training_frame, [], "growing mode needs at least two training frames"),
+        (_huge_features, [], "matching distances overflow"),
+        (_plain_features, ["--alpha", "1e308,1e308,1e308"], "matching distances overflow"),
     ],
-    ids=["one-training-frame", "overflow"],
+    ids=["one-training-frame", "overflow", "alpha-overflow"],
 )
-def test_trial_error_exits_2_without_outputs(tmp_path, capsys, sequences, message):
+def test_trial_error_exits_2_without_outputs(tmp_path, capsys, sequences, flags, message):
     data = tmp_path / "data.csv"
     write_features(Dataset(sequences()), data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run_tiny(tmp_path, data, "failed", ["--trials", "1"])
+    # the overflow bound is checked before any arithmetic, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_tiny(tmp_path, data, "failed", ["--trials", "1"] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -479,6 +488,12 @@ def test_snapshot_dump_reports_missing_key(tmp_path, capsys):
     assert "'hyper'" in capsys.readouterr().err
 
 
+def _over_capacity(doc):
+    """Edit that keeps three neurons and declares a capacity of two."""
+    doc["neurons"] = doc["neurons"][:3]
+    doc["hyper"]["n_max"] = 2
+
+
 def _set(path, value):
     """Edit that sets doc[path[0]]...[path[-1]] = value."""
     def edit(doc):
@@ -513,6 +528,13 @@ def _set(path, value):
         (_set(["hyper", "tau_b"], 10**400), "tau_b must be a finite real"),
         (_set(["dim"], 10**12), "weights have shape"),
         (_set(["neurons", 1, "habituation"], 0.04), "below the floor"),
+        (lambda doc: doc.update(total_label_records=doc["total_label_records"] + 1),
+         "total_label_records"),
+        (lambda doc: doc.update(replay_label_records=doc["total_label_records"] + 1),
+         "replay records exceed"),
+        (lambda doc: doc["transitions"].append(doc["transitions"][0]), "listed twice"),
+        (lambda doc: doc["label_counts"].append(doc["label_counts"][0]), "listed twice"),
+        (_over_capacity, "3 neurons exceed n_max 2"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -521,7 +543,9 @@ def _set(path, value):
         "infinite-context", "prev-bmu-missing", "float-num-contexts", "float-n-max",
         "string-habituation", "string-weight-cell", "context-form-missing",
         "context-form-literal", "infinite-kappa", "int-too-large-for-float", "huge-dim",
-        "habituation-below-floor",
+        "habituation-below-floor", "total-label-records-off-by-one",
+        "replay-records-above-total", "repeated-transition-row", "repeated-label-row",
+        "more-neurons-than-n-max",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

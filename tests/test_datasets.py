@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gwrnet.datasets import (
     WALK_PULLBACK,
-    FeatureFileError,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -194,14 +193,14 @@ def test_loader_rejects_wrong_column_count(tmp_path):
         "label_category,label_instance,session,sequence,frame,f0,f1\n"
         "cat,cat_a,1,0,0,0.5\n"
     )
-    with pytest.raises(FeatureFileError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         load_features(path)
 
 
 def test_loader_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(FeatureFileError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         load_features(path)
 
 
@@ -212,7 +211,7 @@ def test_loader_rejects_non_monotone_frames(tmp_path):
         "cat,cat_a,1,0,0,0.5\n"
         "cat,cat_a,1,0,0,0.6\n"
     )
-    with pytest.raises(FeatureFileError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3"):
         load_features(path)
 
 
@@ -222,7 +221,7 @@ def test_loader_rejects_non_numeric_feature(tmp_path):
         "label_category,label_instance,session,sequence,frame,f0\n"
         "cat,cat_a,1,0,0,oops\n"
     )
-    with pytest.raises(FeatureFileError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         load_features(path)
 
 
@@ -236,7 +235,7 @@ def test_loader_rejects_non_finite_feature(tmp_path, cell):
         f"cat,cat_a,1,0,1,0.25,{cell}\n"
         f"cat,cat_a,1,0,2,{cell},0.5\n"
     )
-    with pytest.raises(FeatureFileError, match="line 4: non-finite"):
+    with pytest.raises(ValueError, match="line 4: non-finite"):
         load_features(path)
 
 
@@ -342,7 +341,7 @@ def test_fuzzed_feature_csv_loads_or_raises_feature_file_error(tmp_path_factory,
     path.write_text(text, encoding="utf-8")
     try:
         dataset = load_features(path)
-    except FeatureFileError:
+    except ValueError:
         return
     frames = dataset.all_features()
     assert frames.shape[1] == dataset.dim and np.isfinite(frames).all()

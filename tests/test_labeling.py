@@ -1,6 +1,7 @@
 """Label histogram readout."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,25 @@ def test_record_rows_are_isolated():
     counts = LabelAssociations()
     counts.record(3, "cup")
     assert counts.row(5) == {}
+
+
+def test_total_records_is_the_sum_of_the_restored_counts():
+    counts = LabelAssociations([(0, "a", 3)], replay_records=1)
+    assert counts.total_records == 3 and counts.replay_records == 1
+    counts.record(0, "b", replay=True)
+    assert counts.total_records == 4 and counts.replay_records == 2
+    with pytest.raises(ValueError, match="replay records exceed"):
+        LabelAssociations([(0, "a", 3)], replay_records=4)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(0, "a", 1), (0, "a", 9)], [(0, ["a", 1], 1), (0, ("a", 1), 9)]],
+    ids=["same-label", "list-and-tuple-label"],
+)
+def test_restored_label_row_given_twice_is_rejected(rows):
+    with pytest.raises(ValueError, match="listed twice"):
+        LabelAssociations(rows)
 
 
 def test_predict_argmax():

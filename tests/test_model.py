@@ -261,10 +261,11 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
         (lambda net: net._hab.__setitem__(1, 0.04), "below the floor"),
         (lambda net: net._units.__setitem__((1, 0, 0), np.nan), "non-finite"),
         (lambda net: net._units.__setitem__((1, 0, 0), 3.0), "stale"),
+        (lambda net: setattr(net, "prev_bmu", net.num_neurons), "prev_bmu"),
     ],
     ids=[
         "self-edge", "one-sided-edge", "habituation", "habituation-floor", "non-finite",
-        "stale-norm",
+        "stale-norm", "dangling-prev-bmu",
     ],
 )
 def test_check_invariants_names_each_violation(corrupt, message):
@@ -466,6 +467,22 @@ def test_insertion_context_midpoint():
     net._hab[0] = 0.05
     new_id = net.maybe_insert(np.zeros(2), 0, 1, act=0.2)
     assert np.allclose(net.neuron(new_id).contexts, [[0.5, 0.0], [0.0, 0.5]], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bmu_id, second_id, error",
+    [(-1, 0, KeyError), (0, 7, KeyError), (0, 0, ValueError)],
+    ids=["negative-winner", "missing-runner-up", "same-neuron"],
+)
+def test_insertion_rejects_bad_ids_without_side_effects(bmu_id, second_id, error):
+    net = two_neuron_net()
+    net._hab[:2] = 0.05
+    units, habs = (a.copy() for a in net.unit_table())
+    with pytest.raises(error):
+        net.maybe_insert(np.array([1.0, 1.0]), bmu_id, second_id, act=0.2)
+    assert np.array_equal(net.unit_table()[0], units)
+    assert np.array_equal(net.unit_table()[1], habs)
+    assert net.edges == [] and net.num_neurons == 2
 
 
 def test_no_insertion_above_activity_threshold():

@@ -55,6 +55,11 @@ def test_record_is_additive():
     assert p.total() == 2
 
 
+def test_restored_transition_given_twice_is_rejected():
+    with pytest.raises(ValueError, match=r"transition \(0, 1\) is listed twice"):
+        TemporalSynapses([(0, 1, 1), (0, 1, 5)])
+
+
 def test_record_is_directed():
     p = TemporalSynapses()
     p.record(1, 2)
