@@ -21,7 +21,8 @@ class LabelAssociations:
 
     ``rows`` restores histograms from (neuron_id, label, count) triples as
     :meth:`items` yields them; list labels (how JSON carries tuples) come back
-    as tuples so they stay hashable; ``replay_records`` of them came from replay.
+    as tuples so they stay hashable; every count is at least 1.
+    ``replay_records`` of them, at least 0, came from replay.
     """
 
     def __init__(self, rows=(), replay_records: int = 0):
@@ -30,7 +31,13 @@ class LabelAssociations:
             row, label = self._rows.setdefault(neuron_id, {}), _hashable(label)
             if label in row:
                 raise ValueError(f"label {label!r} of neuron {neuron_id} is listed twice")
+            if not count >= 1:
+                raise ValueError(
+                    f"label {label!r} of neuron {neuron_id} has count {count!r}, below 1"
+                )
             row[label] = count
+        if not replay_records >= 0:
+            raise ValueError(f"replay_records must be nonnegative, got {replay_records!r}")
         if replay_records > self.total_records:
             raise ValueError(f"{replay_records} replay records exceed {self.total_records} records")
         self.replay_records = replay_records

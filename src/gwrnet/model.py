@@ -17,12 +17,17 @@ Transition counts and label histograms are bookkeeping side tables owned by
 the caller and passed into :meth:`Network.step`.
 
 Winner search is a screen plus an exact re-rank. The screen ranks every unit
-by ``||u||^2_alpha - 2 u . (alpha * q)``, one matrix-vector product over the
-units and a cached vector of their alpha-weighted squared norms. Every unit
-whose screened value lies within a floating-point error bound of the
-second-smallest one is then re-ranked with the full context-weighted distance.
-Winners, runners-up and winner distances are bit-identical to a full scan of
-that distance over all units, ties included.
+by ``||u||^2_alpha - 2 u . (alpha * q)`` in float32: one matrix-vector product
+over a float32 copy of the unit table, plus a float32 copy of the cached
+alpha-weighted squared norms. The copies cost 4 * ((K+1) * dim + 1) bytes per
+unit beside the float64 table, and the product reads half the bytes of a
+float64 one. Every unit whose screened value lies within a floating-point
+error bound of the second-smallest one is then re-ranked with the full
+context-weighted distance in float64. The bound covers float32 rounding,
+underflow and any summation order, and the screen is skipped when float32
+could overflow, so winners, runners-up and winner distances are bit-identical
+to a full scan of that distance over all units, ties included: output bytes
+cannot move, only speed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ STATIC = "static"
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _LARGEST = float(np.finfo(float).max)
+_F32_UNIT_ROUNDOFF = float(np.finfo(np.float32).eps) / 2.0
+_F32_SMALLEST_NORMAL = float(np.finfo(np.float32).tiny)
+_F32_LARGEST = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -197,16 +205,36 @@ class Network:
         self._query = np.zeros((k + 1, dim))
         self._alpha = np.asarray(hyper.alpha, dtype=float)
         self._alpha_col = self._alpha[:, None]
-        # _sqnorm[j] is unit j's alpha-weighted squared norm, kept in step
-        # with _units; _sqmax bounds every _sqnorm value ever held and never
-        # decreases. Both feed the screen in _nearest.
+        # _sqnorm[j] is unit j's alpha-weighted squared norm; _units32 and
+        # _sqnorm32 are the float32 casts of _units and _sqnorm. All are kept
+        # in step with _units. _sqmax bounds every _sqnorm value ever held,
+        # never decreases, and is inf once a unit entry cast to float32
+        # overflowed. All feed the screen in _nearest.
         self._sqnorm = np.zeros(0)
+        self._units32 = np.zeros((0, k + 1, dim), dtype=np.float32)
+        self._sqnorm32 = np.zeros(0, dtype=np.float32)
         self._sqmax = 0.0
         m = (k + 1) * dim
-        self._screen_rel = 2.5 * (m + 4) * _UNIT_ROUNDOFF
-        self._screen_abs = (m + 4) * _SMALLEST_NORMAL
-        # eps and tau by position in an adapt's [winner] + neighbors
-        self._learning = np.zeros((2, 0))
+        # screen scratch: -2 * alpha * query in float32
+        self._query32 = np.zeros(m, dtype=np.float32)
+        a_max = max(hyper.alpha)
+        a_min = min((a for a in hyper.alpha if a > 0.0), default=math.inf)
+        v, lam, top = _F32_UNIT_ROUNDOFF, _F32_SMALLEST_NORMAL, _F32_LARGEST
+        self._screen_rel = 2.5 * (m + 8) * v
+        self._screen_abs = (
+            2.5 * (m * lam * lam / v * (0.5 / a_min + a_max) + (3 * m + 2) * lam)
+            + (m + 4) * _SMALLEST_NORMAL
+        )
+        # the largest M + Q for which every float32 value of the screen is finite
+        self._screen_gate = top / 8 if 2 * a_max <= top else top * top / (16 * a_max)
+        if (m + 8) * v > 0.125 or self._screen_abs > top / 8:
+            self._screen_gate = -1.0
+        # a unit whose alpha-weighted norm is at most this casts to float32,
+        # norm included, without overflow; with a zero alpha entry the norm
+        # bounds nothing
+        self._cast_safe = min(0.25 * a_min * top * top, top / 8) if min(hyper.alpha) > 0.0 else -1.0
+        # eps, tau and tau * kappa by position in an adapt's [winner] + neighbors
+        self._learning = np.zeros((3, 0))
         self._adj: dict[int, set[int]] = {}
         self.num_neurons = 0
         # the frame _iterate has validated; the public methods it calls
@@ -283,7 +311,8 @@ class Network:
         symmetric adjacency without self-edges over exactly the neuron ids,
         habituation in [0, 1] and at or above ``hyper.habituation_floor``,
         finite units, num_neurons <= n_max, prev_bmu None or a neuron id,
-        and cached norms equal to recomputed ones."""
+        cached norms equal to recomputed ones, and the float32 table equal to
+        the units' cast, with an infinite norm bound if any cast overflowed."""
         n = self.num_neurons
         problems = []
         if not 0 <= n <= self.hyper.n_max:
@@ -311,6 +340,16 @@ class Network:
             problems.append("cached unit norms are stale")
         elif n and not self._sqmax >= sqnorm.max():
             problems.append("norm bound is below a unit norm")
+        with np.errstate(over="ignore"):
+            units32 = units.astype(np.float32)
+            sqnorm32 = self._sqnorm[:n].astype(np.float32)
+        if not (
+            np.array_equal(self._units32[:n], units32, equal_nan=True)
+            and np.array_equal(self._sqnorm32[:n], sqnorm32, equal_nan=True)
+        ):
+            problems.append("float32 screen table is stale")
+        elif self._sqmax < math.inf and not np.isfinite(units32).all():
+            problems.append("norm bound is finite over an overflowed float32 table")
         if problems:
             raise RuntimeError("; ".join(problems))
 
@@ -320,39 +359,66 @@ class Network:
         """Winner, runner-up and winner distance for a full [input, C_1..C_K]
         query; ties resolve to the smaller neuron id. Bit-identical to
         evaluating the einsum below over every unit."""
-        # Screen, then re-rank exactly. Write A_i = ||u_i||^2_alpha,
+        # Screen in float32, then re-rank exactly. Write A_i = ||u_i||^2_alpha,
         # Q = ||q||^2_alpha and P_i = u_i . (alpha * q), so the distance is
-        # d_i = A_i - 2 P_i + Q; the screen computes g_i = A_i - 2 P_i, as Q is
-        # the same for every row. With m = (K+1)*D terms, unit roundoff u and
-        # alpha >= 0, the standard dot-product error bounds give per row
-        #   |g_i - (d_i - Q)| <= (2m + 5) u (A_i + Q)   cached norm (m+1
-        #       roundings), GEMV (m+1, doubled) and the final addition;
-        #   |einsum_i - d_i| <= (2m + 6) u (A_i + Q)    as d_i <= 2 (A_i + Q).
-        # Let p1, p2 be the rows with the two smallest g. The exact winner or
-        # runner-up i is either one of them or has einsum_i <= einsum_p for
-        # one of them, so g_i <= g_p + 2 (both bounds) <= g_(2) + eps with
-        # eps = 10 (m + 4) u (M + Q) >= (8m + 22) u (M + Q) plus room for the
-        # roundings of eps, Q and the cutoff, where M >= every A_i. The
-        # (m + 4) * tiny term covers gradual underflow. Forming 4 (M + Q)
-        # first makes eps infinite before any distance can overflow, and a
-        # NaN cutoff keeps every row, so the re-rank then sees all units.
-        # The candidates always include p1 and p2.
+        # d_i = A_i - 2 P_i + Q. The screen computes g_i = fl32(A_i) + G_i in
+        # float32, G_i the float32 product of the float32 table with
+        # fl32(-2 alpha * q); Q is the same for every row and left out. Let
+        # m = (K+1)*D terms, v = 2^-24 and lam = 2^-126 (float32 roundoff and
+        # smallest normal), a_min and a_max the smallest positive and the
+        # largest alpha entry, S_i = sum alpha_t |u_t q_t| <= (A_i + Q) / 2.
+        # Bounds on the error of g_i against A_i - 2 P_i:
+        # * a cast to float32 is off by at most v |x| + lam, lam covering
+        #   gradual underflow and subnormals flushed to zero. The casts of u
+        #   and -2 alpha q move the exact dot product by (2v + v^2) 2 S_i, plus
+        #   lam (1 + v) times the sums of |u_t| and |2 alpha_t q_t| over
+        #   alpha_t > 0 (terms of zero alpha are exactly 0), plus m lam^2;
+        # * float32 accumulation in any order, fused or not, adds
+        #   gamma_m = m v / (1 - m v) of the absolute sum, plus lam for each of
+        #   the at most 2m results that underflow;
+        # * by Cauchy-Schwarz and 2 sqrt(xy) <= x + y, lam sum |u_t| <=
+        #   lam sqrt(m A_i / a_min) <= (v A_i + m lam^2 / (v a_min)) / 2 and
+        #   lam sum |2 alpha_t q_t| <= v Q + m lam^2 a_max / v;
+        # * casting A_i and adding it add v A_i + lam and v (2 A_i + Q);
+        # * the float64 roundings (alpha * q, the cached A_i) add a few
+        #   (m + 2) 2^-53 (A_i + Q), far below v (A_i + Q).
+        # With (m + 8) v <= 1/8 the sum is e_i <= (8/7)(m + 6) v (A_i + Q) + E,
+        # E = (m lam^2 / v)(1 / (2 a_min) + a_max)(1 + v) + (2m + 2) lam. The
+        # re-rank einsum is off by r_i <= (2m + 6) 2^-53 (A_i + Q). Let p1, p2
+        # be the rows with the two smallest g. The exact winner or runner-up i
+        # is either one of them or has einsum_i <= einsum_p for one of them,
+        # so g_i <= g_p + e_i + e_p + r_i + r_p <= g_(2) + 2 (e + r), M >= every
+        # A_i. The comparison rounds the cutoff to float32, losing at most
+        # v (|g_(2)| + eps) + lam with |g_(2)| <= 2.01 (M + Q). So
+        # eps = 2.5 (m + 8) v (M + Q) + 2.5 E + (m + 4) * tiny suffices: 2.5
+        # leaves room for the float64 terms and the roundings of eps, Q and the
+        # cutoff, and the last term covers float64 underflow. The candidates
+        # always include p1 and p2. The screen runs only while M + Q is at
+        # most _screen_gate = min(F / 8, F^2 / (16 a_max)), F the float32
+        # maximum, and eps has an absolute term of at most F / 8: then
+        # |2 alpha_t q_t| <= 2 sqrt(a_max Q) <= F / 2, _store_norms keeps the
+        # table finite (or M infinite), and every product, partial sum, g_i
+        # and the cutoff stay below F, so no float32 value overflows.
+        # Otherwise, NaN included, every row is re-ranked.
         n = self.num_neurons
         if n < 2:
             raise RuntimeError("matching needs at least two neurons")
         units = self._units[:n]
-        weighted = (self._alpha_col * query).ravel()
-        g = units.reshape(n, -1) @ weighted
-        g *= -2.0
-        g += self._sqnorm[:n]
-        b = g.argmin()
-        g_b = g[b]
-        g[b] = np.inf
-        bound = (self._sqmax + float(weighted @ query.ravel())) * 4.0
-        cutoff = g[g.argmin()] + (bound * self._screen_rel + self._screen_abs)
-        g[b] = g_b
-        rows = np.flatnonzero(~(g > cutoff))
-        diff = units[rows] - query
+        weighted = self._alpha_col * query
+        scale = self._sqmax + float(np.vdot(weighted, query))
+        if scale <= self._screen_gate:
+            np.multiply(weighted.ravel(), -2.0, out=self._query32)
+            g = self._units32[:n].reshape(n, -1) @ self._query32
+            g += self._sqnorm32[:n]
+            b = g.argmin()
+            g_b = g[b]
+            g[b] = np.inf
+            cutoff = float(g.min()) + (scale * self._screen_rel + self._screen_abs)
+            g[b] = g_b
+            rows = (g <= cutoff).nonzero()[0]
+        else:
+            rows = np.arange(n)
+        diff = units.take(rows, axis=0) - query
         d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
         w = d.argmin()
         d_b = float(d[w])
@@ -365,25 +431,38 @@ class Network:
         return int(rows[w]), int(rows[s]), d_b
 
     def _store_norms(self, rows, units: np.ndarray) -> None:
-        """Cache the norms of ``units``, the current contents of ``rows``
-        (ids or a slice)."""
+        """Cache the norms and float32 casts of ``units``, the current
+        contents of ``rows`` (ids or a slice)."""
         sqnorm = np.einsum("j,ijk,ijk->i", self._alpha, units, units)
         self._sqnorm[rows] = sqnorm
         top = float(sqnorm.max())
+        if top <= self._cast_safe:
+            self._units32[rows] = units
+            self._sqnorm32[rows] = sqnorm
+        else:
+            # entries past the float32 maximum cast to inf; an infinite norm
+            # bound then keeps the screen off for good
+            with np.errstate(over="ignore"):
+                self._units32[rows] = units
+                self._sqnorm32[rows] = sqnorm
+            if not np.isfinite(self._units32[rows]).all():
+                top = math.inf
         if not top <= self._sqmax:  # NaN also lands here and keeps every row
             self._sqmax = top
 
     def _advance_context(self, query: np.ndarray, prev_bmu: Optional[int]) -> None:
         """Write C_1..C_K into query rows 1.. from the previous winner; zero
         at sequence start."""
+        contexts = query[1:]
         if prev_bmu is None:
-            query[1:] = 0.0
+            contexts[...] = 0.0
             return
         unit = self._units[prev_bmu]
         beta = self.hyper.beta
         # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
         # unit[0:K] is exactly [c_{b,0}, ..., c_{b,K-1}].
-        query[1:] = beta * unit[0] + (1.0 - beta) * unit[: self.hyper.num_contexts]
+        np.multiply(unit[: self.hyper.num_contexts], 1.0 - beta, out=contexts)
+        contexts += beta * unit[0]
 
     def distance(self, neuron_id: int, x: np.ndarray) -> float:
         """Context-weighted squared distance between a neuron and an input."""
@@ -431,13 +510,22 @@ class Network:
         self._query[0] = self._check_input(x)
         ids = [bmu_id] + sorted(self._adj[bmu_id])
         rows = np.array(ids)
-        eps, tau = self._learning[:, : len(ids)]
-        hab = self._hab[rows]
-        units = self._units[rows]
-        units += (eps * hab)[:, None, None] * (self._query - units)
+        eps, tau, tau_kappa = self._learning[:, : len(ids)]
+        hab = self._hab.take(rows)
+        units = self._units.take(rows, axis=0)
+        pull = self._query - units
+        pull *= (eps * hab)[:, None, None]
+        units += pull
         self._units[rows] = units
         self._store_norms(rows, units)
-        self._hab[rows] = habituate(hab, tau, self.hyper.kappa)
+        # habituate(hab, tau, kappa) in place, the same roundings in the same order
+        update = 1.0 - hab
+        update *= tau_kappa
+        update += hab
+        update -= tau
+        np.maximum(update, 0.0, out=update)
+        np.minimum(update, 1.0, out=update)
+        self._hab[rows] = update
         return ids
 
     def connect(self, i: int, j: int) -> None:
@@ -510,15 +598,15 @@ class Network:
         n_max, so memory follows the network's size, not its declared n_max."""
         rows = min(self.hyper.n_max, max(end, 2 * len(self._hab)))
         n = self.num_neurons
-        for name in ("_units", "_hab", "_sqnorm"):
+        for name in ("_units", "_hab", "_sqnorm", "_units32", "_sqnorm32"):
             old = getattr(self, name)
-            new = np.zeros((rows,) + old.shape[1:])
+            new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
         hy = self.hyper
-        self._learning = np.empty((2, rows))
-        self._learning[:, 0] = (hy.eps_b, hy.tau_b)
-        self._learning[:, 1:] = [[hy.eps_n], [hy.tau_n]]
+        self._learning = np.empty((3, rows))
+        self._learning[:, 0] = (hy.eps_b, hy.tau_b, hy.tau_b * hy.kappa)
+        self._learning[:, 1:] = [[hy.eps_n], [hy.tau_n], [hy.tau_n * hy.kappa]]
 
     def _append_neuron(
         self, weight: np.ndarray, contexts: np.ndarray, hab: float

@@ -22,7 +22,7 @@ class TemporalSynapses:
     """Directed transition counts P(i, j): neuron i fired right before j.
 
     ``rows`` restores counts from (prev_id, curr_id, count) triples as
-    :meth:`items` yields them.
+    :meth:`items` yields them; every count is at least 1.
     """
 
     def __init__(self, rows=()):
@@ -32,6 +32,8 @@ class TemporalSynapses:
             row = self._pred.setdefault(curr_id, {})
             if prev_id in row:
                 raise ValueError(f"transition ({prev_id}, {curr_id}) is listed twice")
+            if not count >= 1:
+                raise ValueError(f"transition ({prev_id}, {curr_id}) has count {count!r}, below 1")
             row[prev_id] = count
 
     def record(self, prev_id: int, curr_id: int) -> None:

@@ -84,7 +84,7 @@ def _floats(rows, shape: tuple, what: str) -> np.ndarray:
 
 def _table(rows, width: int, id_columns: int, num_neurons: int, what: str) -> np.ndarray:
     """Integer rows of ``width`` columns: ``id_columns`` neuron ids that must
-    exist, then counts of at least 1."""
+    exist, then counts, which the count tables check."""
     try:
         table = np.array(rows)
     except ValueError:
@@ -93,11 +93,9 @@ def _table(rows, width: int, id_columns: int, num_neurons: int, what: str) -> np
         return np.zeros((0, width), dtype=np.int64)
     if table.ndim != 2 or table.shape[1] != width or table.dtype.kind not in "iu":
         raise ValueError(f"snapshot {what} are not rows of {width} integers")
-    ids, counts = table[:, :id_columns], table[:, id_columns:]
+    ids = table[:, :id_columns]
     if ((ids < 0) | (ids >= num_neurons)).any():
         raise ValueError(f"snapshot {what} name a neuron that does not exist")
-    if (counts < 1).any():
-        raise ValueError(f"snapshot {what} hold a count below 1")
     return table
 
 

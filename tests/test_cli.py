@@ -2,8 +2,12 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,33 @@ def test_run_snapshot_flag_writes_per_trial_snapshots(tmp_path):
     assert code == 0
     snaps = sorted((out / "snapshots").iterdir())
     assert [p.name for p in snaps] == ["trial_000.json", "trial_001.json"]
+
+
+def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The float32 screen's products come from BLAS, whose blocking may change
+    with the thread count; only the screen's error bound keeps every winner,
+    so metrics and snapshots must not move. The static table (800 x 24) is
+    above OpenBLAS's single-thread cutoff for a matrix-vector product."""
+    data = tmp_path / "data.csv"
+    gen = ["gen-data", "--categories", "3", "--instances", "2", "--sessions", "4",
+           "--dim", "8", "--frames", "20", "--seed", "5", "--out", str(data)]
+    assert main(gen) == 0
+    src = Path(cli.__file__).resolve().parent.parent
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "gwrnet.cli", "run", "--data", str(data),
+             "--protocol", "batch", "--mode", "static", "--nmax", "800", "--epochs", "2",
+             "--trials", "2", "--test-sessions", "2", "--snapshot", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        files = [out / "metrics.csv"] + sorted((out / "snapshots").iterdir())
+        outputs[threads] = {p.name: p.read_bytes() for p in files}
+    assert len(outputs["1"]) == 3
+    assert outputs["1"] == outputs["2"]
 
 
 def test_run_is_write_once(tmp_path, capsys):
@@ -535,6 +566,8 @@ def _set(path, value):
         (lambda doc: doc["transitions"].append(doc["transitions"][0]), "listed twice"),
         (lambda doc: doc["label_counts"].append(doc["label_counts"][0]), "listed twice"),
         (_over_capacity, "3 neurons exceed n_max 2"),
+        (_set(["transitions", 0, 2], 0), "has count 0, below 1"),
+        (_set(["label_counts", 0, 2], 0), "has count 0, below 1"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -545,7 +578,7 @@ def _set(path, value):
         "context-form-literal", "infinite-kappa", "int-too-large-for-float", "huge-dim",
         "habituation-below-floor", "total-label-records-off-by-one",
         "replay-records-above-total", "repeated-transition-row", "repeated-label-row",
-        "more-neurons-than-n-max",
+        "more-neurons-than-n-max", "zero-transition-count", "zero-label-count",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -50,6 +50,22 @@ def test_total_records_is_the_sum_of_the_restored_counts():
 
 
 @pytest.mark.parametrize(
+    "rows, replay_records, message",
+    [
+        ([(0, "a", 0)], 0, "has count 0, below 1"),
+        ([(0, "a", -3)], 0, "has count -3, below 1"),
+        ([(0, "a", 2)], -1, "replay_records must be nonnegative"),
+    ],
+    ids=["zero-count", "negative-count", "negative-replay-records"],
+)
+def test_restored_counts_break_no_table_rule(rows, replay_records, message):
+    """The table states its own rules, so a library caller cannot build one
+    that saves but does not load."""
+    with pytest.raises(ValueError, match=message):
+        LabelAssociations(rows, replay_records)
+
+
+@pytest.mark.parametrize(
     "rows",
     [[(0, "a", 1), (0, "a", 9)], [(0, ["a", 1], 1), (0, ("a", 1), 9)]],
     ids=["same-label", "list-and-tuple-label"],

@@ -139,27 +139,41 @@ def test_find_bmu_matches_brute_force_scan(full_scan):
     n=st.integers(2, 40),
     dim=st.integers(1, 6),
     k=st.integers(0, 2),
-    zero_alpha=st.lists(st.booleans(), min_size=3, max_size=3),
-    offset=st.sampled_from([0.0, 1e6, -1e6]),
+    alpha_kind=st.lists(st.sampled_from(["normal", "zero", "tiny"]), min_size=3, max_size=3),
+    tiny=st.sampled_from([1e-30, 1e-45, 1e-300]),
+    offset=st.sampled_from([0.0, 1e6, -1e6, 1e20, -1e20]),
+    scale=st.sampled_from([1.0, 1e-20, 1e-40, 1e39]),
     duplicates=st.integers(0, 5),
     ulp_apart=st.integers(0, 5),
     query_on_unit=st.booleans(),
 )
-@example(seed=0, n=2, dim=1, k=0, zero_alpha=[False] * 3, offset=0.0,
-         duplicates=0, ulp_apart=0, query_on_unit=False)
-@example(seed=1, n=2, dim=3, k=2, zero_alpha=[False, True, False], offset=1e6,
-         duplicates=1, ulp_apart=0, query_on_unit=True)
+@example(seed=0, n=2, dim=1, k=0, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=False)
+@example(seed=1, n=2, dim=3, k=2, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=1e6, scale=1.0, duplicates=1, ulp_apart=0, query_on_unit=True)
+@example(seed=2, n=30, dim=4, k=2, alpha_kind=["tiny", "zero", "zero"], tiny=1e-30,
+         offset=0.0, scale=1.0, duplicates=2, ulp_apart=2, query_on_unit=False)
+@example(seed=3, n=30, dim=4, k=1, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1e-40, duplicates=0, ulp_apart=3, query_on_unit=False)
+@example(seed=4, n=30, dim=4, k=1, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=0.0, scale=1e39, duplicates=0, ulp_apart=0, query_on_unit=False)
+@example(seed=5, n=30, dim=4, k=2, alpha_kind=["normal"] * 3, tiny=1e-30, offset=-1e20,
+         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=True)
 def test_screened_nearest_equals_full_scan(
-    full_scan, seed, n, dim, k, zero_alpha, offset, duplicates, ulp_apart, query_on_unit
+    full_scan, seed, n, dim, k, alpha_kind, tiny, offset, scale, duplicates, ulp_apart,
+    query_on_unit,
 ):
     """Winner, runner-up and distance are bit-identical to the einsum scan,
     also for duplicated rows, rows 1 ulp apart, large offsets (the worst case
-    for the screen's cancellation) and zero alpha entries."""
+    for the screen's cancellation), zero and tiny alpha entries, and values
+    whose float32 products underflow (1e-20), that the float32 screen table
+    holds only as subnormals (1e-40) or cannot hold at all (1e39)."""
     rng = np.random.default_rng(seed)
-    alpha = tuple(0.0 if zero else float(rng.uniform(0.05, 1.0))
-                  for zero in zero_alpha[: k + 1])
+    weight = {"zero": lambda: 0.0, "tiny": lambda: tiny,
+              "normal": lambda: float(rng.uniform(0.05, 1.0))}
+    alpha = tuple(weight[kind]() for kind in alpha_kind[: k + 1])
     hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=n)
-    units = offset + rng.normal(size=(n, k + 1, dim))
+    units = offset + scale * rng.normal(size=(n, k + 1, dim))
     for _ in range(duplicates):
         i, j = rng.integers(0, n, size=2)
         units[i] = units[j]
@@ -169,7 +183,7 @@ def test_screened_nearest_equals_full_scan(
     net = Network(dim, hyper, GROWING)
     net._append_units(units, 1.0)
     query = units[rng.integers(0, n)].copy() if query_on_unit else (
-        offset + rng.normal(size=(k + 1, dim))
+        offset + scale * rng.normal(size=(k + 1, dim))
     )
     assert net._nearest(query) == full_scan(net, query)
     net.check_invariants()
@@ -252,6 +266,14 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
     net.check_invariants()
 
 
+def _overflow_with_finite_bound(net):
+    """A unit entry past the float32 maximum, cast and cached as _store_norms
+    would, under a norm bound that still lets the screen run."""
+    net._units[1, 0, 0] = 1e39
+    net._store_norms(slice(1, 2), net._units[1:2])
+    net._sqmax = float(net._sqnorm[: net.num_neurons].max())
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -262,10 +284,16 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
         (lambda net: net._units.__setitem__((1, 0, 0), np.nan), "non-finite"),
         (lambda net: net._units.__setitem__((1, 0, 0), 3.0), "stale"),
         (lambda net: setattr(net, "prev_bmu", net.num_neurons), "prev_bmu"),
+        (lambda net: net._units32.__setitem__((1, 0, 0), net._units32[1, 0, 0] + 1),
+         "float32 screen table is stale"),
+        (lambda net: net._sqnorm32.__setitem__(1, net._sqnorm32[1] + 1),
+         "float32 screen table is stale"),
+        (_overflow_with_finite_bound, "norm bound is finite over an overflowed float32 table"),
     ],
     ids=[
         "self-edge", "one-sided-edge", "habituation", "habituation-floor", "non-finite",
-        "stale-norm", "dangling-prev-bmu",
+        "stale-norm", "dangling-prev-bmu", "stale-screen-table", "stale-screen-norm",
+        "unflagged-float32-overflow",
     ],
 )
 def test_check_invariants_names_each_violation(corrupt, message):

@@ -60,6 +60,14 @@ def test_restored_transition_given_twice_is_rejected():
         TemporalSynapses([(0, 1, 1), (0, 1, 5)])
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_restored_transition_count_below_one_is_rejected(count):
+    """The table states its own rule, so a library caller cannot build one
+    that saves but does not load."""
+    with pytest.raises(ValueError, match=rf"transition \(0, 1\) has count {count}, below 1"):
+        TemporalSynapses([(0, 1, count)])
+
+
 def test_record_is_directed():
     p = TemporalSynapses()
     p.record(1, 2)
