@@ -28,6 +28,15 @@ underflow and any summation order, and the screen is skipped when float32
 could overflow, so winners, runners-up and winner distances are bit-identical
 to a full scan of that distance over all units, ties included: output bytes
 cannot move, only speed.
+
+Evaluation matches every test sequence in lockstep: :meth:`Network.match`
+takes the next frame of each running sequence and screens them all with one
+float32 matrix product, unit rows against query columns, under the same error
+bound, then re-ranks every candidate (sequence, unit) pair with one float64
+einsum. The product runs in blocks of unit rows of at most 2^18 multiply-adds,
+OpenBLAS's single-thread size, because threads cost more than they save on
+products this small. Its scratch is one float32 screen value per unit and
+sequence, n * S * 4 bytes (180 KB at 300 units and 150 sequences).
 """
 
 from __future__ import annotations
@@ -162,18 +171,24 @@ def habituate(h, tau, kappa):
     return np.minimum(np.maximum(h + tau * kappa * (1.0 - h) - tau, 0.0), 1.0)
 
 
+# multiply-adds per block of the lockstep screen's product: OpenBLAS runs a
+# matrix product this small on one thread
+_SCREEN_BLOCK = 2**18
+
+
 @dataclass
 class MatchContext:
-    """Per-sequence context scratchpad for read-only matching.
+    """Context scratchpad for read-only matching of S sequences in lockstep.
 
     Evaluation walks test sequences through the same matching rule as
-    training but must not disturb the trained state; each evaluation sequence
-    owns one of these. ``query`` row 0 is input scratch space, rows 1.. hold
-    the context stack.
+    training but must not disturb the trained state. ``query[i]`` is sequence
+    i's [input, C_1..C_K] (row 0 is input scratch space) and ``prev_bmu[i]``
+    its previous winner, -1 at sequence start. Sequences that end early must
+    come last, so the running ones are always a prefix.
     """
 
-    query: np.ndarray  # (num_contexts + 1, dim)
-    prev_bmu: Optional[int] = None
+    query: np.ndarray  # (S, num_contexts + 1, dim)
+    prev_bmu: np.ndarray  # (S,) neuron ids, -1 at sequence start
 
 
 class Network:
@@ -355,15 +370,16 @@ class Network:
 
     # -- matching ----------------------------------------------------------
 
-    def _nearest(self, query: np.ndarray) -> tuple[int, int, float]:
-        """Winner, runner-up and winner distance for a full [input, C_1..C_K]
-        query; ties resolve to the smaller neuron id. Bit-identical to
-        evaluating the einsum below over every unit."""
-        # Screen in float32, then re-rank exactly. Write A_i = ||u_i||^2_alpha,
-        # Q = ||q||^2_alpha and P_i = u_i . (alpha * q), so the distance is
-        # d_i = A_i - 2 P_i + Q. The screen computes g_i = fl32(A_i) + G_i in
-        # float32, G_i the float32 product of the float32 table with
-        # fl32(-2 alpha * q); Q is the same for every row and left out. Let
+    def _screen_cutoff(self, second, scale):
+        """Largest screened value the exact winner or runner-up of a query
+        can have, from the second-smallest screened value and M + Q =
+        ``scale``; elementwise, one query per entry. Only a query whose scale
+        is at most ``_screen_gate`` may be screened."""
+        # Write A_i = ||u_i||^2_alpha, Q = ||q||^2_alpha and
+        # P_i = u_i . (alpha * q), so the distance is d_i = A_i - 2 P_i + Q.
+        # The screen computes g_i = fl32(A_i) + G_i in float32, G_i the
+        # float32 product of the float32 table with fl32(-2 alpha * q); Q is
+        # the same for every row and left out. Let
         # m = (K+1)*D terms, v = 2^-24 and lam = 2^-126 (float32 roundoff and
         # smallest normal), a_min and a_max the smallest positive and the
         # largest alpha entry, S_i = sum alpha_t |u_t q_t| <= (A_i + Q) / 2.
@@ -400,6 +416,14 @@ class Network:
         # table finite (or M infinite), and every product, partial sum, g_i
         # and the cutoff stay below F, so no float32 value overflows.
         # Otherwise, NaN included, every row is re-ranked.
+        return second + (scale * self._screen_rel + self._screen_abs)
+
+    def _nearest(self, query: np.ndarray) -> tuple[int, int, float]:
+        """Winner, runner-up and winner distance for a full [input, C_1..C_K]
+        query; ties resolve to the smaller neuron id. Bit-identical to
+        evaluating the einsum below over every unit."""
+        # screen in float32, then re-rank exactly every unit within the
+        # bound of _screen_cutoff
         n = self.num_neurons
         if n < 2:
             raise RuntimeError("matching needs at least two neurons")
@@ -413,7 +437,7 @@ class Network:
             b = g.argmin()
             g_b = g[b]
             g[b] = np.inf
-            cutoff = float(g.min()) + (scale * self._screen_rel + self._screen_abs)
+            cutoff = self._screen_cutoff(float(g.min()), scale)
             g[b] = g_b
             rows = (g <= cutoff).nonzero()[0]
         else:
@@ -429,6 +453,53 @@ class Network:
         if not (d_b < np.inf and d[s] < np.inf):
             raise ValueError("matching distances overflow: feature values or alpha are too large")
         return int(rows[w]), int(rows[s]), d_b
+
+    def _nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winners, runners-up and winner distances of a stack of
+        [input, C_1..C_K] queries, shape (a, K+1, dim); entry i equals
+        ``_nearest(queries[i])`` bit for bit."""
+        # One float32 product screens every query at once, in blocks of unit
+        # rows small enough for one BLAS thread; each query keeps the units
+        # within its own _screen_cutoff, or every unit past _screen_gate. One
+        # einsum re-ranks every candidate (query, unit) pair, and one lexsort
+        # orders each query's candidates by distance. nonzero lists each
+        # query's units in ascending order and lexsort is stable, so ties go
+        # to the smaller id.
+        n = self.num_neurons
+        if n < 2:
+            raise RuntimeError("matching needs at least two neurons")
+        a = len(queries)
+        weighted = self._alpha_col * queries
+        scale = self._sqmax + np.einsum("ijk,ijk->i", weighted, queries)
+        screened = (scale <= self._screen_gate).nonzero()[0]
+        candidates = np.ones((a, n), dtype=bool)
+        if len(screened):
+            q32 = (-2.0 * weighted.take(screened, axis=0)).reshape(len(screened), -1)
+            q32 = q32.astype(np.float32)
+            units32 = self._units32[:n].reshape(n, -1)
+            g = np.empty((len(screened), n), dtype=np.float32)
+            block = max(1, _SCREEN_BLOCK // q32.size)
+            for i in range(0, n, block):
+                np.matmul(q32, units32[i : i + block].T, out=g[:, i : i + block])
+            g += self._sqnorm32[:n]
+            each = np.arange(len(screened))
+            b = g.argmin(axis=1)
+            g_b = g[each, b]
+            g[each, b] = np.inf
+            cutoff = self._screen_cutoff(g.min(axis=1).astype(float), scale.take(screened))
+            g[each, b] = g_b
+            candidates[screened] = g <= cutoff.astype(np.float32)[:, None]
+        q_ids, rows = candidates.nonzero()
+        diff = self._units.take(rows, axis=0) - queries.take(q_ids, axis=0)
+        d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
+        order = np.lexsort((d, q_ids))
+        per_query = np.bincount(q_ids, minlength=a)
+        first = np.cumsum(per_query) - per_query
+        w, s = order[first], order[first + 1]
+        # as in _nearest: a NaN distance or an infinite runner-up is an overflow
+        if np.isnan(d).any() or not (d[s] < np.inf).all():
+            raise ValueError("matching distances overflow: feature values or alpha are too large")
+        return rows[w], rows[s], d[w]
 
     def _store_norms(self, rows, units: np.ndarray) -> None:
         """Cache the norms and float32 casts of ``units``, the current
@@ -490,16 +561,43 @@ class Network:
         self._query[1:] = 0.0
         self.prev_bmu = None
 
-    def new_match_context(self) -> MatchContext:
-        return MatchContext(query=np.zeros((self.hyper.num_contexts + 1, self.dim)))
+    def new_match_context(self, sequences: int) -> MatchContext:
+        """A fresh lockstep context for ``sequences`` sequences, all at their
+        start."""
+        return MatchContext(
+            query=np.zeros((sequences, self.hyper.num_contexts + 1, self.dim)),
+            prev_bmu=np.full(sequences, -1),
+        )
 
-    def match(self, x: np.ndarray, ctx: MatchContext) -> tuple[int, int, float]:
-        """Evaluation-mode matching: advances ctx, mutates no network state."""
-        ctx.query[0] = self._check_input(x)
-        self._advance_context(ctx.query, ctx.prev_bmu)
-        b, s, d_b = self._nearest(ctx.query)
-        ctx.prev_bmu = b
-        return b, s, d_b
+    def match(
+        self, frames: np.ndarray, ctx: MatchContext
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluation-mode matching in lockstep: ``frames`` (a, dim) holds the
+        next frame of each of the first a sequences of ``ctx``. Returns their
+        winners, runners-up and winner distances as arrays, each equal to
+        what training-mode matching gives for that sequence's query; advances
+        those sequences of ctx and mutates no network state."""
+        frames = np.asarray(frames, dtype=float)
+        if frames.ndim != 2 or frames.shape[1] != self.dim or len(frames) > len(ctx.prev_bmu):
+            raise ValueError(
+                f"frames of shape {frames.shape} do not fit {len(ctx.prev_bmu)} "
+                f"sequences of dimension {self.dim}"
+            )
+        if not np.isfinite(frames).all():
+            raise ValueError("input frame has non-finite values")
+        a = len(frames)
+        query, prev = ctx.query[:a], ctx.prev_bmu[:a]
+        # _advance_context's elementwise operations, one sequence per row
+        started = prev >= 0
+        unit = self._units.take(prev[started], axis=0)
+        contexts = unit[:, : self.hyper.num_contexts] * (1.0 - self.hyper.beta)
+        contexts += self.hyper.beta * unit[:, :1]
+        query[:, 1:] = 0.0
+        query[started, 1:] = contexts
+        query[:, 0] = frames
+        winners, runner_ups, d_b = self._nearest_many(query)
+        prev[...] = winners
+        return winners, runner_ups, d_b
 
     # -- plasticity ----------------------------------------------------------
 

@@ -98,18 +98,29 @@ def evaluate(
     network: Network, label_counts: LabelAssociations, test_split: Dataset
 ) -> dict[str, tuple[int, int]]:
     """Per-category ``(correct, frames)`` counts of frame-level instance
-    recognition over the test split. Test sequences are walked in order with
-    a fresh context per sequence; absent predictions count as wrong."""
+    recognition over the test split. Every test sequence starts from a fresh
+    context, and all of them advance one frame at a time in lockstep; each
+    winner reads its label from one readout of the label table. Absent
+    predictions count as wrong."""
     if test_split.num_frames == 0:
         raise ValueError("empty test split")
     counts = {c: [0, 0] for c in test_split.categories}
-    for seq in test_split.sequences:
-        ctx = network.new_match_context()
-        bucket = counts[seq.category]
-        for t in range(len(seq)):
-            pred = classify_sample(network, label_counts, seq.features[t], ctx)
+    # longest first, so the sequences still running at frame t are a prefix
+    sequences = sorted(test_split.sequences, key=len, reverse=True)
+    frames = np.zeros((len(sequences[0]), len(sequences), test_split.dim))
+    for i, seq in enumerate(sequences):
+        frames[: len(seq), i] = seq.features
+    targets = [(counts[seq.category], seq.instance) for seq in sequences]
+    readout = [label_counts.predict(i) for i in network.neuron_ids]
+    ctx = network.new_match_context(len(sequences))
+    running = len(sequences)
+    for t, frame in enumerate(frames):
+        while len(sequences[running - 1]) <= t:
+            running -= 1
+        winners, _, _ = network.match(frame[:running], ctx)
+        for (bucket, instance), winner in zip(targets, winners.tolist()):
             bucket[1] += 1
-            if pred == seq.instance:
+            if classify_sample(readout, winner) == instance:
                 bucket[0] += 1
     return {c: (v[0], v[1]) for c, v in counts.items()}
 

@@ -94,30 +94,39 @@ def test_run_snapshot_flag_writes_per_trial_snapshots(tmp_path):
 
 
 def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The float32 screen's products come from BLAS, whose blocking may change
+    """The float32 screens' products come from BLAS, whose blocking may change
     with the thread count; only the screen's error bound keeps every winner,
     so metrics and snapshots must not move. The static table (800 x 24) is
-    above OpenBLAS's single-thread cutoff for a matrix-vector product."""
+    above OpenBLAS's single-thread cutoff for a matrix-vector product; the
+    incremental growing run with replay scores its checkpoints through the
+    lockstep screen."""
     data = tmp_path / "data.csv"
     gen = ["gen-data", "--categories", "3", "--instances", "2", "--sessions", "4",
            "--dim", "8", "--frames", "20", "--seed", "5", "--out", str(data)]
     assert main(gen) == 0
     src = Path(cli.__file__).resolve().parent.parent
+    runs = {
+        "batch-static": ["--protocol", "batch", "--mode", "static", "--nmax", "800",
+                         "--epochs", "2", "--snapshot"],
+        "incremental-growing-replay": ["--protocol", "incremental", "--mode", "growing",
+                                       "--replay", "--nmax", "300"],
+    }
     outputs = {}
     for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        subprocess.run(
-            [sys.executable, "-m", "gwrnet.cli", "run", "--data", str(data),
-             "--protocol", "batch", "--mode", "static", "--nmax", "800", "--epochs", "2",
-             "--trials", "2", "--test-sessions", "2", "--snapshot", "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        files = [out / "metrics.csv"] + sorted((out / "snapshots").iterdir())
-        outputs[threads] = {p.name: p.read_bytes() for p in files}
-    assert len(outputs["1"]) == 3
-    assert outputs["1"] == outputs["2"]
+        for name, flags in runs.items():
+            out = tmp_path / f"{name}_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "gwrnet.cli", "run", "--data", str(data),
+                 "--trials", "2", "--test-sessions", "2", "--out", str(out)] + flags,
+                env=env, check=True, capture_output=True,
+            )
+            files = [out / "metrics.csv"] + sorted(out.glob("snapshots/*"))
+            outputs[threads, name] = {p.name: p.read_bytes() for p in files}
+    assert len(outputs["1", "batch-static"]) == 3
+    for name in runs:
+        assert outputs["1", name] == outputs["2", name]
 
 
 def test_run_is_write_once(tmp_path, capsys):

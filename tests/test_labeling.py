@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwrnet.labeling import LabelAssociations, classify_sample
-from gwrnet.model import HyperParams, init_growing
+from gwrnet.model import GROWING, HyperParams, Network, init_growing
 from gwrnet.replay import TemporalSynapses
 
 
@@ -118,42 +118,62 @@ def test_predict_invariant_under_count_scaling(scale):
     assert counts.predict(0) == scaled.predict(0)
 
 
+def classify(net, counts, frames):
+    """Labels of the winners of one sequence's frames, matched in order from
+    a fresh context, read out as evaluation does."""
+    readout = [counts.predict(i) for i in net.neuron_ids]
+    ctx = net.new_match_context(1)
+    return [classify_sample(readout, int(net.match(x[None], ctx)[0][0])) for x in frames]
+
+
 def test_classify_sample_returns_winner_label():
     net, counts = labeled_net()
-    assert classify_sample(net, counts, np.array([0.1, 0.0])) == "cup"
+    assert classify(net, counts, [np.array([0.1, 0.0])]) == ["cup"]
 
 
 def test_classify_sample_absent_for_unlabeled_winner():
     net, counts = labeled_net()
-    assert classify_sample(net, counts, np.array([5.0, 5.0])) is None
+    assert classify(net, counts, [np.array([5.0, 5.0])]) == [None]
 
 
 def test_classify_sample_is_pure():
     net, counts = labeled_net()
     weights_before = net._units.copy()
     hab_before = net._hab.copy()
+    query_before = net._query.copy()
     steps_before = net.step_count
     rows_before = {i: counts.row(i) for i in range(2)}
     prev_before = net.prev_bmu
-    classify_sample(net, counts, np.array([0.1, 0.2]))
+    classify(net, counts, [np.array([0.1, 0.2]), np.array([4.0, 4.0])])
     assert np.array_equal(net._units, weights_before)
     assert np.array_equal(net._hab, hab_before)
+    assert np.array_equal(net._query, query_before)
     assert net.step_count == steps_before
     assert net.prev_bmu == prev_before
     assert {i: counts.row(i) for i in range(2)} == rows_before
 
 
 def test_classify_sample_carries_context_across_frames():
+    """Each unit's context descriptor equals its weight, and the second frame
+    lies exactly between the units, so only the context carried from the
+    first frame's winner decides the second winner."""
     hyper = HyperParams(num_contexts=1, alpha=(0.6, 0.4), n_max=10)
-    net = init_growing(2, hyper, (np.array([0.0, 0.0]), np.array([5.0, 5.0])))
+    net = Network(2, hyper, GROWING)
+    w0, w1 = np.array([0.0, 0.0]), np.array([5.0, 5.0])
+    net._append_units(np.array([[w0, w0], [w1, w1]]), 1.0)
     counts = LabelAssociations()
     counts.record(0, "near")
     counts.record(1, "far")
-    ctx = net.new_match_context()
-    classify_sample(net, counts, np.array([0.0, 0.0]), ctx)
-    assert ctx.prev_bmu == 0
-    classify_sample(net, counts, np.array([5.0, 5.0]), ctx)
-    assert ctx.prev_bmu is not None
+    middle = np.array([2.5, 2.5])
+    assert classify(net, counts, [w0, middle]) == ["near", "near"]
+    assert classify(net, counts, [w1, middle]) == ["far", "far"]
+    ctx = net.new_match_context(1)
+    net.match(w1[None], ctx)
+    assert ctx.prev_bmu.tolist() == [1]
+    net.match(middle[None], ctx)
+    # C_1 = beta * w_1 + (1 - beta) * c_{1,0}, with c_{1,0} = w_1
+    assert np.array_equal(ctx.query[0, 1], w1 * (1.0 - hyper.beta) + hyper.beta * w1)
+    assert ctx.prev_bmu.tolist() == [1]
 
 
 def test_training_presentation_conservation():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gwrnet import model
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import (
     GROWING,
@@ -133,8 +134,12 @@ def test_find_bmu_matches_brute_force_scan(full_scan):
         assert got == full_scan(net, query)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# unit tables for the screen tests: duplicated rows, rows 1 ulp apart, large
+# offsets (the worst case for the screen's cancellation), zero and tiny alpha
+# entries, and values whose float32 products underflow (1e-20), that the
+# float32 screen table holds only as subnormals (1e-40) or cannot hold at all
+# (1e39)
+SCREEN_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
     dim=st.integers(1, 6),
@@ -145,29 +150,12 @@ def test_find_bmu_matches_brute_force_scan(full_scan):
     scale=st.sampled_from([1.0, 1e-20, 1e-40, 1e39]),
     duplicates=st.integers(0, 5),
     ulp_apart=st.integers(0, 5),
-    query_on_unit=st.booleans(),
 )
-@example(seed=0, n=2, dim=1, k=0, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
-         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=False)
-@example(seed=1, n=2, dim=3, k=2, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
-         offset=1e6, scale=1.0, duplicates=1, ulp_apart=0, query_on_unit=True)
-@example(seed=2, n=30, dim=4, k=2, alpha_kind=["tiny", "zero", "zero"], tiny=1e-30,
-         offset=0.0, scale=1.0, duplicates=2, ulp_apart=2, query_on_unit=False)
-@example(seed=3, n=30, dim=4, k=1, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
-         scale=1e-40, duplicates=0, ulp_apart=3, query_on_unit=False)
-@example(seed=4, n=30, dim=4, k=1, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
-         offset=0.0, scale=1e39, duplicates=0, ulp_apart=0, query_on_unit=False)
-@example(seed=5, n=30, dim=4, k=2, alpha_kind=["normal"] * 3, tiny=1e-30, offset=-1e20,
-         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=True)
-def test_screened_nearest_equals_full_scan(
-    full_scan, seed, n, dim, k, alpha_kind, tiny, offset, scale, duplicates, ulp_apart,
-    query_on_unit,
-):
-    """Winner, runner-up and distance are bit-identical to the einsum scan,
-    also for duplicated rows, rows 1 ulp apart, large offsets (the worst case
-    for the screen's cancellation), zero and tiny alpha entries, and values
-    whose float32 products underflow (1e-20), that the float32 screen table
-    holds only as subnormals (1e-40) or cannot hold at all (1e39)."""
+
+
+def screen_case(seed, n, dim, k, alpha_kind, tiny, offset, scale, duplicates, ulp_apart):
+    """The network a SCREEN_CASES draw describes, its units, and the
+    generator, left ready to draw queries."""
     rng = np.random.default_rng(seed)
     weight = {"zero": lambda: 0.0, "tiny": lambda: tiny,
               "normal": lambda: float(rng.uniform(0.05, 1.0))}
@@ -182,11 +170,121 @@ def test_screened_nearest_equals_full_scan(
         units[i] = np.nextafter(units[j], np.inf)
     net = Network(dim, hyper, GROWING)
     net._append_units(units, 1.0)
-    query = units[rng.integers(0, n)].copy() if query_on_unit else (
-        offset + scale * rng.normal(size=(k + 1, dim))
+    return net, units, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(**SCREEN_CASES, query_on_unit=st.booleans())
+@example(seed=0, n=2, dim=1, k=0, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=False)
+@example(seed=1, n=2, dim=3, k=2, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=1e6, scale=1.0, duplicates=1, ulp_apart=0, query_on_unit=True)
+@example(seed=2, n=30, dim=4, k=2, alpha_kind=["tiny", "zero", "zero"], tiny=1e-30,
+         offset=0.0, scale=1.0, duplicates=2, ulp_apart=2, query_on_unit=False)
+@example(seed=3, n=30, dim=4, k=1, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1e-40, duplicates=0, ulp_apart=3, query_on_unit=False)
+@example(seed=4, n=30, dim=4, k=1, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=0.0, scale=1e39, duplicates=0, ulp_apart=0, query_on_unit=False)
+@example(seed=5, n=30, dim=4, k=2, alpha_kind=["normal"] * 3, tiny=1e-30, offset=-1e20,
+         scale=1.0, duplicates=0, ulp_apart=0, query_on_unit=True)
+def test_screened_nearest_equals_full_scan(full_scan, query_on_unit, **case):
+    """Winner, runner-up and distance are bit-identical to the einsum scan on
+    every SCREEN_CASES unit table."""
+    net, units, rng = screen_case(**case)
+    query = units[rng.integers(0, case["n"])].copy() if query_on_unit else (
+        case["offset"] + case["scale"] * rng.normal(size=units.shape[1:])
     )
     assert net._nearest(query) == full_scan(net, query)
     net.check_invariants()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    **SCREEN_CASES,
+    queries=st.integers(1, 9),
+    on_unit=st.integers(0, 3),
+    past_gate=st.integers(0, 2),
+    block=st.sampled_from([None, 1, 50]),
+)
+@example(seed=0, n=2, dim=1, k=0, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1.0, duplicates=0, ulp_apart=0, queries=1, on_unit=0, past_gate=0, block=None)
+@example(seed=1, n=2, dim=3, k=2, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=1e6, scale=1.0, duplicates=1, ulp_apart=0, queries=4, on_unit=2, past_gate=0,
+         block=None)
+@example(seed=2, n=30, dim=4, k=2, alpha_kind=["tiny", "zero", "zero"], tiny=1e-30,
+         offset=0.0, scale=1.0, duplicates=2, ulp_apart=2, queries=5, on_unit=0, past_gate=0,
+         block=1)
+@example(seed=3, n=30, dim=4, k=1, alpha_kind=["normal"] * 3, tiny=1e-30, offset=0.0,
+         scale=1e-40, duplicates=0, ulp_apart=3, queries=7, on_unit=1, past_gate=1, block=50)
+@example(seed=4, n=30, dim=4, k=1, alpha_kind=["normal", "zero", "normal"], tiny=1e-30,
+         offset=0.0, scale=1e39, duplicates=0, ulp_apart=0, queries=3, on_unit=0, past_gate=0,
+         block=None)
+@example(seed=5, n=30, dim=4, k=2, alpha_kind=["normal"] * 3, tiny=1e-30, offset=-1e20,
+         scale=1.0, duplicates=0, ulp_apart=0, queries=2, on_unit=2, past_gate=0, block=None)
+def test_lockstep_nearest_equals_full_scan(full_scan, queries, on_unit, past_gate, block, **case):
+    """Every query of one lockstep call gets the einsum scan's winner,
+    runner-up and distance bit for bit, on every SCREEN_CASES unit table.
+    Some queries copy a unit, some are large enough to pass _screen_gate and
+    are re-ranked over every unit beside screened ones, and a small product
+    block splits the screen into several row blocks; a second call matches a
+    prefix of the queries."""
+    net, units, rng = screen_case(**case)
+    n = case["n"]
+    stack = case["offset"] + case["scale"] * rng.normal(size=(queries,) + units.shape[1:])
+    for i in rng.integers(0, queries, size=on_unit):
+        stack[i] = units[rng.integers(0, n)]
+    for i in rng.integers(0, queries, size=past_gate):
+        stack[i] = 1e150 * rng.normal(size=units.shape[1:])
+    saved = model._SCREEN_BLOCK
+    model._SCREEN_BLOCK = block or saved
+    try:
+        for a in (queries, (queries + 1) // 2):
+            winners, runner_ups, d_b = net._nearest_many(stack[:a])
+            got = list(zip(winners.tolist(), runner_ups.tolist(), d_b.tolist()))
+            assert got == [full_scan(net, q) for q in stack[:a]]
+    finally:
+        model._SCREEN_BLOCK = saved
+    net.check_invariants()
+
+
+def test_lockstep_nearest_mixes_screened_and_gated_queries(full_scan):
+    """One call holds queries the screen ranks and queries past _screen_gate,
+    which keep every unit; each gets the full scan's result."""
+    rng = np.random.default_rng(11)
+    hyper = HyperParams(num_contexts=2, alpha=(0.67, 0.24, 0.09), n_max=60)
+    net = Network(4, hyper, GROWING)
+    net._append_units(rng.normal(size=(60, 3, 4)), 1.0)
+    stack = rng.normal(size=(5, 3, 4))
+    stack[[1, 3]] *= 1e150
+    weighted = net._alpha_col * stack
+    scale = net._sqmax + np.einsum("ijk,ijk->i", weighted, stack)
+    assert (scale > net._screen_gate).tolist() == [False, True, False, True, False]
+    winners, runner_ups, d_b = net._nearest_many(stack)
+    got = list(zip(winners.tolist(), runner_ups.tolist(), d_b.tolist()))
+    assert got == [full_scan(net, q) for q in stack]
+
+
+def test_lockstep_nearest_rejects_overflowing_distances():
+    net = two_neuron_net(hyper=HyperParams(num_contexts=0, alpha=(1e308,), n_max=50))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="matching distances overflow"):
+            net.match(np.array([[0.0, 0.0], [2.0, 2.0]]), net.new_match_context(2))
+
+
+def test_match_restarts_a_sequence_whose_previous_winner_is_reset():
+    """A lockstep row whose prev_bmu is set back to -1 starts again from a
+    zero context, as a fresh context does."""
+    net = _trained_net()
+    frames = np.random.default_rng(4).normal(size=(3, 2, 3))
+    ctx = net.new_match_context(2)
+    for x in frames:
+        net.match(x, ctx)
+    ctx.prev_bmu[1] = -1
+    fresh = net.new_match_context(1)
+    got = net.match(frames[0], ctx)
+    want = net.match(frames[0, 1:], fresh)
+    assert [g[1] for g in got] == [w[0] for w in want]
+    assert np.array_equal(ctx.query[1], fresh.query[0])
 
 
 def test_einsum_rows_are_bitwise_equal_on_a_row_subset():
@@ -245,7 +343,7 @@ def _trained_net():
         lambda net, x: net.step(x),
         lambda net, x: net.replay_step(x),
         lambda net, x: net.find_bmu(x),
-        lambda net, x: net.match(x, net.new_match_context()),
+        lambda net, x: net.match(np.stack([np.zeros(3), x]), net.new_match_context(2)),
         lambda net, x: net.adapt(0, x),
         lambda net, x: net.maybe_insert(x, 0, 1, 0.0),
         lambda net, x: net.distance(0, x),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gwrnet import protocols
-from gwrnet.datasets import SyntheticSpec, generate_synthetic, split_by_sessions
+from gwrnet.datasets import Dataset, SyntheticSpec, generate_synthetic, split_by_sessions
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import HyperParams, init_growing, init_static
 from gwrnet.protocols import (
@@ -133,6 +133,75 @@ def test_evaluate_per_category_totals_cover_split():
     counts = evaluate(net, LabelAssociations(), test)
     assert list(counts) == test.categories
     assert sum(t for _, t in counts.values()) == test.num_frames
+
+
+def _trained(num_contexts=2):
+    """A growing network trained one pass over the tiny training split, with
+    its label table; the last sequence's context is left in place."""
+    train, test = split_by_sessions(tiny_dataset(), TEST_SESSIONS)
+    alpha = (0.67, 0.24, 0.09)[: num_contexts + 1]
+    hyper = HyperParams(num_contexts=num_contexts, alpha=alpha, n_max=25)
+    frames = train.all_features()
+    net = init_growing(train.dim, hyper, (frames[0], frames[1]))
+    counts = LabelAssociations()
+    for seq in train.sequences:
+        net.reset_context()
+        for x in seq.features:
+            net.step(x, seq.instance, None, counts)
+    return net, counts, test
+
+
+def _ragged(test):
+    """The test split with sequence lengths cycling through 1..T, in an
+    order where long and short sequences interleave."""
+    longest = max(len(s) for s in test.sequences)
+    cut = [
+        replace(seq, features=seq.features[: 1 + (3 * i) % longest])
+        for i, seq in enumerate(test.sequences)
+    ]
+    return Dataset(cut, test.dim)
+
+
+def _frame_by_frame(net, counts, test, full_scan):
+    """Reference evaluation: each sequence alone, one full scan per frame,
+    the context from the previous winner by the context rule."""
+    beta, k = net.hyper.beta, net.hyper.num_contexts
+    out = {c: [0, 0] for c in test.categories}
+    for seq in test.sequences:
+        query, prev = np.zeros((k + 1, net.dim)), None
+        for x in seq.features:
+            if prev is not None:
+                unit = net._units[prev]
+                query[1:] = unit[:k] * (1.0 - beta) + beta * unit[0]
+            query[0] = x
+            prev = full_scan(net, query)[0]
+            out[seq.category][1] += 1
+            out[seq.category][0] += counts.predict(prev) == seq.instance
+    return {c: tuple(v) for c, v in out.items()}
+
+
+@pytest.mark.parametrize("num_contexts", [0, 2])
+def test_lockstep_evaluate_equals_frame_by_frame_reference(full_scan, num_contexts):
+    net, counts, test = _trained(num_contexts)
+    ragged = _ragged(test)
+    lengths = sorted(len(s) for s in ragged.sequences)
+    assert lengths.count(1) >= 2 and lengths[-1] == 5 and len(set(lengths)) == 5
+    for split in (test, ragged):
+        want = _frame_by_frame(net, counts, split, full_scan)
+        assert sum(c for c, _ in want.values()) > 0
+        assert evaluate(net, counts, split) == want
+
+
+def test_evaluate_leaves_the_network_untouched():
+    net, counts, test = _trained()
+    before = [a.copy() for a in (net._units, net._hab, net._query, net._sqnorm, net._units32)]
+    state = (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items()))
+    assert net.prev_bmu is not None and net._query[1:].any()
+    evaluate(net, counts, _ragged(test))
+    after = [net._units, net._hab, net._query, net._sqnorm, net._units32]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items())) == state
+    assert counts.replay_records == 0
 
 
 # -- incremental protocol -------------------------------------------------------
@@ -405,9 +474,10 @@ def test_summarize_mean_and_std():
     ids=["incremental-growing-replay", "batch-static"],
 )
 def test_screened_matching_matches_full_scan_end_to_end(tmp_path, monkeypatch, full_scan, flags):
-    """A run with the shipped kernel and one with the full-scan reference
-    write the same metrics.csv and snapshot bytes, and the network's
-    invariants hold after training and after loading the snapshot."""
+    """A run with the shipped kernels and one with the full-scan reference in
+    their place, for training and for lockstep evaluation, write the same
+    metrics.csv and snapshot bytes, and the network's invariants hold after
+    training and after loading the snapshot."""
     from gwrnet import cli, protocols
     from gwrnet.datasets import write_features
     from gwrnet.model import Network
@@ -427,6 +497,10 @@ def test_screened_matching_matches_full_scan_end_to_end(tmp_path, monkeypatch, f
     for kernel in ("screened", "full_scan"):
         if kernel == "full_scan":
             monkeypatch.setattr(Network, "_nearest", full_scan)
+            monkeypatch.setattr(
+                Network, "_nearest_many",
+                lambda net, queries: tuple(map(np.array, zip(*(full_scan(net, q) for q in queries)))),
+            )
         out = tmp_path / kernel
         argv = ["run", "--data", str(data), "--trials", "2", "--seed", "4",
                 "--test-sessions", "2", "--out", str(out), "--snapshot"]
