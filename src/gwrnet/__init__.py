@@ -5,7 +5,6 @@ from .model import (
     GROWING,
     STATIC,
     HyperParams,
-    MatchContext,
     Network,
     Neuron,
     StepOutcome,
@@ -28,7 +27,6 @@ __all__ = [
     "STATIC",
     "HyperParams",
     "LabelAssociations",
-    "MatchContext",
     "Network",
     "Neuron",
     "ReplayReport",

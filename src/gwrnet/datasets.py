@@ -10,11 +10,12 @@ within each sequence. Real pre-extracted features load from a flat CSV.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .model import check_field_types
 
 # pullback factor of the within-sequence walk; keeps the walk stationary
 # around the session prototype instead of drifting off
@@ -106,14 +107,15 @@ class SyntheticSpec:
     noise: float = 0.02
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.categories, self.instances, self.sessions) < 1:
             raise ValueError("categories, instances and sessions must be at least 1")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.frames_per_seq < 1:
             raise ValueError("frames_per_seq must be at least 1")
-        if not all(0 <= v < math.inf for v in (self.cluster_spread, self.walk_step, self.noise)):
-            raise ValueError("spread, walk and noise must be finite and nonnegative")
+        if min(self.cluster_spread, self.walk_step, self.noise) < 0:
+            raise ValueError("spread, walk and noise must be nonnegative")
 
 
 def _rng(*entropy) -> np.random.Generator:

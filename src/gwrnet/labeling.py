@@ -79,8 +79,8 @@ def classify_sample(readout: list[Optional[Label]], winner: int) -> Optional[Lab
 
     Evaluation builds the readout once per checkpoint and calls this once per
     test frame, so the per-frame predictions and abstentions stay countable
-    by a tracer that wraps this function. This function, ``MatchContext`` and
-    :meth:`Network.match` are the evaluation entry points the benchmark
+    by a tracer that wraps this function. This function and
+    :meth:`Network.match` are the only evaluation entry points the benchmark
     traces; they can fold into ``evaluate`` once its span prediction no
     longer expects them.
     """

@@ -29,14 +29,14 @@ could overflow, so winners, runners-up and winner distances are bit-identical
 to a full scan of that distance over all units, ties included: output bytes
 cannot move, only speed.
 
-Evaluation matches every test sequence in lockstep: :meth:`Network.match`
-takes the next frame of each running sequence and screens them all with one
+:meth:`Network.match` matches many sequences at once and changes nothing: it
+takes one frame and the previous winner (-1 at sequence start) of each, builds
+their queries with the training context rule, screens them all with one
 float32 matrix product, unit rows against query columns, under the same error
 bound, then re-ranks every candidate (sequence, unit) pair with one float64
-einsum. The product runs in blocks of unit rows of at most 2^18 multiply-adds,
-OpenBLAS's single-thread size, because threads cost more than they save on
-products this small. Its scratch is one float32 screen value per unit and
-sequence, n * S * 4 bytes (180 KB at 300 units and 150 sequences).
+einsum. The product runs in blocks of unit rows of at most 2^18 multiply-adds
+(``_SCREEN_BLOCK`` says why). Its scratch is one float32 screen value per unit
+and sequence, n * S * 4 bytes (180 KB at 300 units and 150 sequences).
 """
 
 from __future__ import annotations
@@ -57,6 +57,23 @@ _LARGEST = float(np.finfo(float).max)
 _F32_UNIT_ROUNDOFF = float(np.finfo(np.float32).eps) / 2.0
 _F32_SMALLEST_NORMAL = float(np.finfo(np.float32).tiny)
 _F32_LARGEST = float(np.finfo(np.float32).max)
+
+
+def check_field_types(spec, *extra_reals) -> None:
+    """Raise ValueError for a field of the dataclass ``spec`` annotated
+    ``int`` or ``bool`` whose value is not exactly of that type (a bool is no
+    int), or for a field annotated ``float`` or an ``extra_reals`` (name,
+    value) pair whose value is not a finite real number."""
+    checks = [(f.name, f.type, getattr(spec, f.name)) for f in fields(spec)]
+    for name, kind, value in checks + [(n, "float", v) for n, v in extra_reals]:
+        if kind in (int, "int") and type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if kind in (bool, "bool") and type(value) is not bool:
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        # the exact int/float comparison also rejects ints too large for a float
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if kind in (float, "float") and not (real and abs(value) <= _LARGEST):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +98,7 @@ class HyperParams:
     n_max: int = 2500
 
     def __post_init__(self):
-        reals = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type in (float, "float")]
-        reals += [("alpha", a) for a in self.alpha]
-        for name, value in reals:
-            # the exact int/float comparison also rejects ints too large for a float
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and abs(value) <= _LARGEST):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        check_field_types(self, *(("alpha", a) for a in self.alpha))
         if not 0.0 < self.insertion_threshold < 1.0:
             raise ValueError("insertion_threshold must lie in (0, 1)")
         if not 0.0 < self.habituation_threshold < 1.0:
@@ -100,9 +111,6 @@ class HyperParams:
             raise ValueError("need 0 < eps_n < eps_b < 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        for name in ("num_contexts", "n_max"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.num_contexts < 0:
             raise ValueError("num_contexts must be nonnegative")
         if len(self.alpha) != self.num_contexts + 1:
@@ -171,24 +179,11 @@ def habituate(h, tau, kappa):
     return np.minimum(np.maximum(h + tau * kappa * (1.0 - h) - tau, 0.0), 1.0)
 
 
-# multiply-adds per block of the lockstep screen's product: OpenBLAS runs a
-# matrix product this small on one thread
+# multiply-adds per block of match's screen product, small enough that
+# OpenBLAS keeps it on one thread: with default threads, `--parallel-trials 2`
+# on two cores took 1.3-2.2 s blocked and 2.9-3.8 s unblocked (growing +
+# replay, n_max 300), as the workers' BLAS threads oversubscribed the cores
 _SCREEN_BLOCK = 2**18
-
-
-@dataclass
-class MatchContext:
-    """Context scratchpad for read-only matching of S sequences in lockstep.
-
-    Evaluation walks test sequences through the same matching rule as
-    training but must not disturb the trained state. ``query[i]`` is sequence
-    i's [input, C_1..C_K] (row 0 is input scratch space) and ``prev_bmu[i]``
-    its previous winner, -1 at sequence start. Sequences that end early must
-    come last, so the running ones are always a prefix.
-    """
-
-    query: np.ndarray  # (S, num_contexts + 1, dim)
-    prev_bmu: np.ndarray  # (S,) neuron ids, -1 at sequence start
 
 
 class Network:
@@ -521,14 +516,14 @@ class Network:
         if not top <= self._sqmax:  # NaN also lands here and keeps every row
             self._sqmax = top
 
-    def _advance_context(self, query: np.ndarray, prev_bmu: Optional[int]) -> None:
-        """Write C_1..C_K into query rows 1.. from the previous winner; zero
-        at sequence start."""
-        contexts = query[1:]
-        if prev_bmu is None:
+    def _advance_context(self) -> None:
+        """Write C_1..C_K into _query rows 1.. from prev_bmu; zero at sequence
+        start. ``match`` applies the same operations to a stack of queries."""
+        contexts = self._query[1:]
+        if self.prev_bmu is None:
             contexts[...] = 0.0
             return
-        unit = self._units[prev_bmu]
+        unit = self._units[self.prev_bmu]
         beta = self.hyper.beta
         # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
         # unit[0:K] is exactly [c_{b,0}, ..., c_{b,K-1}].
@@ -553,7 +548,7 @@ class Network:
 
     def update_global_context(self) -> np.ndarray:
         """Advance C_1..C_K from the previous winner; zero at sequence start."""
-        self._advance_context(self._query, self.prev_bmu)
+        self._advance_context()
         return self.global_context
 
     def reset_context(self) -> None:
@@ -561,43 +556,36 @@ class Network:
         self._query[1:] = 0.0
         self.prev_bmu = None
 
-    def new_match_context(self, sequences: int) -> MatchContext:
-        """A fresh lockstep context for ``sequences`` sequences, all at their
-        start."""
-        return MatchContext(
-            query=np.zeros((sequences, self.hyper.num_contexts + 1, self.dim)),
-            prev_bmu=np.full(sequences, -1),
-        )
-
     def match(
-        self, frames: np.ndarray, ctx: MatchContext
+        self, frames: np.ndarray, prev: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluation-mode matching in lockstep: ``frames`` (a, dim) holds the
-        next frame of each of the first a sequences of ``ctx``. Returns their
-        winners, runners-up and winner distances as arrays, each equal to
-        what training-mode matching gives for that sequence's query; advances
-        those sequences of ctx and mutates no network state."""
+        """Evaluation-mode matching of ``a`` sequences at once: ``frames``
+        (a, dim) holds each sequence's next frame and ``prev`` (a,) its
+        previous winner, -1 at sequence start. Returns their winners, runners-up and
+        winner distances as arrays, each equal to what training-mode matching
+        gives for that sequence's query; changes neither the network nor
+        ``prev``."""
         frames = np.asarray(frames, dtype=float)
-        if frames.ndim != 2 or frames.shape[1] != self.dim or len(frames) > len(ctx.prev_bmu):
-            raise ValueError(
-                f"frames of shape {frames.shape} do not fit {len(ctx.prev_bmu)} "
-                f"sequences of dimension {self.dim}"
-            )
+        if frames.ndim != 2 or frames.shape[1] != self.dim:
+            raise ValueError(f"frames of shape {frames.shape} do not have dimension {self.dim}")
         if not np.isfinite(frames).all():
             raise ValueError("input frame has non-finite values")
-        a = len(frames)
-        query, prev = ctx.query[:a], ctx.prev_bmu[:a]
+        prev = np.asarray(prev)
+        if not (
+            prev.shape == (len(frames),)
+            and prev.dtype.kind in "iu"
+            and ((prev >= -1) & (prev < self.num_neurons)).all()
+        ):
+            raise ValueError(f"prev must hold {len(frames)} neuron ids or -1, got {prev!r}")
         # _advance_context's elementwise operations, one sequence per row
         started = prev >= 0
         unit = self._units.take(prev[started], axis=0)
         contexts = unit[:, : self.hyper.num_contexts] * (1.0 - self.hyper.beta)
         contexts += self.hyper.beta * unit[:, :1]
-        query[:, 1:] = 0.0
+        query = np.zeros((len(frames), self.hyper.num_contexts + 1, self.dim))
         query[started, 1:] = contexts
         query[:, 0] = frames
-        winners, runner_ups, d_b = self._nearest_many(query)
-        prev[...] = winners
-        return winners, runner_ups, d_b
+        return self._nearest_many(query)
 
     # -- plasticity ----------------------------------------------------------
 
@@ -736,7 +724,7 @@ class Network:
     def _iterate(self, x, label, transitions, label_counts, replay: bool) -> StepOutcome:
         x = self._frame = self._check_input(x)
         try:
-            self._advance_context(self._query, self.prev_bmu)
+            self._advance_context()
             bmu_id, second_id, d_b = self.find_bmu(x)
             act = activity(d_b)
             if transitions is not None and self.prev_bmu is not None:

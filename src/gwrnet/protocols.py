@@ -24,7 +24,9 @@ import numpy as np
 
 from .datasets import Dataset, split_by_sessions
 from .labeling import LabelAssociations, classify_sample
-from .model import GROWING, STATIC, HyperParams, Network, init_growing, init_static
+from .model import (
+    GROWING, STATIC, HyperParams, Network, check_field_types, init_growing, init_static
+)
 from .replay import TemporalSynapses, replay_episode
 from .snapshot import save_snapshot
 
@@ -53,6 +55,7 @@ class ProtocolSpec:
     hyper: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in (BATCH, INCREMENTAL):
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if self.mode not in (GROWING, STATIC):
@@ -112,12 +115,13 @@ def evaluate(
         frames[: len(seq), i] = seq.features
     targets = [(counts[seq.category], seq.instance) for seq in sequences]
     readout = [label_counts.predict(i) for i in network.neuron_ids]
-    ctx = network.new_match_context(len(sequences))
+    prev = np.full(len(sequences), -1)
     running = len(sequences)
     for t, frame in enumerate(frames):
         while len(sequences[running - 1]) <= t:
             running -= 1
-        winners, _, _ = network.match(frame[:running], ctx)
+        winners, _, _ = network.match(frame[:running], prev[:running])
+        prev[:running] = winners
         for (bucket, instance), winner in zip(targets, winners.tolist()):
             bucket[1] += 1
             if classify_sample(readout, winner) == instance:

@@ -73,9 +73,12 @@ def test_generator_validates_spec():
         SyntheticSpec(categories=0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise=-0.1)
-    for spread in (float("nan"), float("inf")):
+    for spread in (float("nan"), float("inf"), "0.5", True):
         with pytest.raises(ValueError, match="finite"):
             SyntheticSpec(cluster_spread=spread)
+    for bad in ({"dim": 3.0}, {"categories": True}, {"frames_per_seq": np.int64(5)}):
+        with pytest.raises(ValueError, match="must be an int"):
+            SyntheticSpec(**bad)
     with pytest.raises(ValueError, match="data_seed"):
         generate_synthetic(SMALL, seed=-1)
 

@@ -122,8 +122,11 @@ def classify(net, counts, frames):
     """Labels of the winners of one sequence's frames, matched in order from
     a fresh context, read out as evaluation does."""
     readout = [counts.predict(i) for i in net.neuron_ids]
-    ctx = net.new_match_context(1)
-    return [classify_sample(readout, int(net.match(x[None], ctx)[0][0])) for x in frames]
+    prev, labels = np.full(1, -1), []
+    for x in frames:
+        prev = net.match(x[None], prev)[0]
+        labels.append(classify_sample(readout, int(prev[0])))
+    return labels
 
 
 def test_classify_sample_returns_winner_label():
@@ -167,13 +170,14 @@ def test_classify_sample_carries_context_across_frames():
     middle = np.array([2.5, 2.5])
     assert classify(net, counts, [w0, middle]) == ["near", "near"]
     assert classify(net, counts, [w1, middle]) == ["far", "far"]
-    ctx = net.new_match_context(1)
-    net.match(w1[None], ctx)
-    assert ctx.prev_bmu.tolist() == [1]
-    net.match(middle[None], ctx)
+    prev = net.match(w1[None], np.full(1, -1))[0]
+    assert prev.tolist() == [1]
+    got = net.match(middle[None], prev)
     # C_1 = beta * w_1 + (1 - beta) * c_{1,0}, with c_{1,0} = w_1
-    assert np.array_equal(ctx.query[0, 1], w1 * (1.0 - hyper.beta) + hyper.beta * w1)
-    assert ctx.prev_bmu.tolist() == [1]
+    query = np.array([[middle, w1 * (1.0 - hyper.beta) + hyper.beta * w1]])
+    want = net._nearest_many(query)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].tolist() == [1]
 
 
 def test_training_presentation_conservation():

@@ -268,23 +268,23 @@ def test_lockstep_nearest_rejects_overflowing_distances():
     net = two_neuron_net(hyper=HyperParams(num_contexts=0, alpha=(1e308,), n_max=50))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="matching distances overflow"):
-            net.match(np.array([[0.0, 0.0], [2.0, 2.0]]), net.new_match_context(2))
+            net.match(np.array([[0.0, 0.0], [2.0, 2.0]]), np.full(2, -1))
 
 
 def test_match_restarts_a_sequence_whose_previous_winner_is_reset():
-    """A lockstep row whose prev_bmu is set back to -1 starts again from a
-    zero context, as a fresh context does."""
+    """A row whose previous winner is -1 starts again from a zero context,
+    as a fresh one-row call does, and match leaves ``prev`` as it was."""
     net = _trained_net()
     frames = np.random.default_rng(4).normal(size=(3, 2, 3))
-    ctx = net.new_match_context(2)
+    prev = np.full(2, -1)
     for x in frames:
-        net.match(x, ctx)
-    ctx.prev_bmu[1] = -1
-    fresh = net.new_match_context(1)
-    got = net.match(frames[0], ctx)
-    want = net.match(frames[0, 1:], fresh)
+        prev = net.match(x, prev)[0]
+    prev[1] = -1
+    kept = prev.copy()
+    got = net.match(frames[0], prev)
+    want = net.match(frames[0, 1:], np.full(1, -1))
     assert [g[1] for g in got] == [w[0] for w in want]
-    assert np.array_equal(ctx.query[1], fresh.query[0])
+    assert np.array_equal(prev, kept)
 
 
 def test_einsum_rows_are_bitwise_equal_on_a_row_subset():
@@ -343,7 +343,7 @@ def _trained_net():
         lambda net, x: net.step(x),
         lambda net, x: net.replay_step(x),
         lambda net, x: net.find_bmu(x),
-        lambda net, x: net.match(np.stack([np.zeros(3), x]), net.new_match_context(2)),
+        lambda net, x: net.match(np.stack([np.zeros(3), x]), np.full(2, -1)),
         lambda net, x: net.adapt(0, x),
         lambda net, x: net.maybe_insert(x, 0, 1, 0.0),
         lambda net, x: net.distance(0, x),
@@ -361,6 +361,29 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
     assert np.array_equal(net._hab, before[1])
     assert np.array_equal(net._sqnorm, before[2])
     assert np.array_equal(net.global_context, before[3])
+    net.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "bad_prev",
+    [
+        lambda net: np.full(3, -1),
+        lambda net: np.full(2, -1.0),
+        lambda net: np.array([0, net.num_neurons]),
+        lambda net: np.array([-2, 0]),
+    ],
+    ids=["wrong_length", "float", "past_last_id", "below_minus_one"],
+)
+def test_match_rejects_bad_previous_winners_without_side_effects(bad_prev):
+    net = _trained_net()
+    prev = bad_prev(net)
+    before = (net._units.copy(), net._hab.copy(), net._query.copy(), prev.copy())
+    with pytest.raises(ValueError, match="prev must hold"):
+        net.match(np.zeros((2, 3)), prev)
+    assert np.array_equal(net._units, before[0])
+    assert np.array_equal(net._hab, before[1])
+    assert np.array_equal(net._query, before[2])
+    assert np.array_equal(prev, before[3])
     net.check_invariants()
 
 

@@ -84,6 +84,13 @@ def test_spec_rejects_bad_fields():
         tiny_spec(test_sessions=())
     with pytest.raises(ValueError, match="seed"):
         tiny_spec(seed=-1)
+    for bad in ({"trials": 1.5}, {"trials": True}, {"seed": 1.5}, {"n_max": 30.0}):
+        with pytest.raises(ValueError, match="must be an int"):
+            tiny_spec(**bad)
+    with pytest.raises(ValueError, match="epochs must be an int"):
+        tiny_spec(kind="batch", epochs=1.5)
+    with pytest.raises(ValueError, match="replay must be a bool"):
+        tiny_spec(replay="no")
 
 
 # -- evaluation ---------------------------------------------------------------
