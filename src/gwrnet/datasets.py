@@ -71,15 +71,8 @@ class Dataset:
     def num_frames(self) -> int:
         return sum(len(s) for s in self.sequences)
 
-    def sequences_of(
-        self, category: Optional[str] = None, session: Optional[int] = None
-    ) -> list[Sequence]:
-        return [
-            s
-            for s in self.sequences
-            if (category is None or s.category == category)
-            and (session is None or s.session == session)
-        ]
+    def sequences_of(self, category: str) -> list[Sequence]:
+        return [s for s in self.sequences if s.category == category]
 
     def all_features(self) -> np.ndarray:
         if not self.sequences:
@@ -181,13 +174,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
                     features=frames[row],
                 )
             )
-    # stable global sequence ids in (session, category, instance) order
+    # global sequence ids in (session, category, instance) order, names as text
     sequences.sort(key=lambda s: (s.session, s.category, s.instance))
-    renumbered = [
-        Sequence(s.category, s.instance, s.session, seq_id, s.features)
-        for seq_id, s in enumerate(sequences)
-    ]
-    return Dataset(renumbered)
+    for seq_id, seq in enumerate(sequences):
+        seq.sequence_id = seq_id
+    return Dataset(sequences)
 
 
 def write_features(dataset: Dataset, path) -> None:

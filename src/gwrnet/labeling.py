@@ -18,14 +18,18 @@ class LabelAssociations:
     """Per-neuron label frequency histograms with a replay-attributed tally.
 
     ``rows`` restores histograms from (neuron_id, label, count) triples as
-    :meth:`items` yields them; list labels (how JSON carries tuples) come back
-    as tuples so they stay hashable; every count is at least 1.
-    ``replay_records`` of them, at least 0, came from replay.
+    :meth:`items` yields them, ids ints >= 0 and counts ints >= 1; list labels
+    (how JSON carries tuples) come back as tuples so they stay hashable. An
+    int ``replay_records`` of them, at least 0, came from replay.
     """
 
     def __init__(self, rows=(), replay_records: int = 0):
         self._rows: dict[int, dict[Label, int]] = {}
         for neuron_id, label, count in rows:
+            if not (type(neuron_id) is type(count) is int and neuron_id >= 0):
+                raise ValueError(
+                    f"label row {(neuron_id, label, count)!r} needs an int id >= 0 and an int count"
+                )
             row, label = self._rows.setdefault(neuron_id, {}), _hashable(label)
             if label in row:
                 raise ValueError(f"label {label!r} of neuron {neuron_id} is listed twice")
@@ -34,8 +38,8 @@ class LabelAssociations:
                     f"label {label!r} of neuron {neuron_id} has count {count!r}, below 1"
                 )
             row[label] = count
-        if not replay_records >= 0:
-            raise ValueError(f"replay_records must be nonnegative, got {replay_records!r}")
+        if type(replay_records) is not int or replay_records < 0:
+            raise ValueError(f"replay_records must be nonnegative and an int: {replay_records!r}")
         if replay_records > self.total_records:
             raise ValueError(f"{replay_records} replay records exceed {self.total_records} records")
         self.replay_records = replay_records

@@ -18,16 +18,16 @@ the caller and passed into :meth:`Network.step`.
 
 Winner search is a screen plus an exact re-rank. The screen ranks every unit
 by ``||u||^2_alpha - 2 u . (alpha * q)`` in float32: one matrix-vector product
-over a float32 copy of the unit table, plus a float32 copy of the cached
-alpha-weighted squared norms. The copies cost 4 * ((K+1) * dim + 1) bytes per
-unit beside the float64 table, and the product reads half the bytes of a
-float64 one. Every unit whose screened value lies within a floating-point
-error bound of the second-smallest one is then re-ranked with the full
-context-weighted distance in float64. The bound covers float32 rounding,
-underflow and any summation order, and the screen is skipped when float32
-could overflow, so winners, runners-up and winner distances are bit-identical
-to a full scan of that distance over all units, ties included: output bytes
-cannot move, only speed.
+over a float32 copy of the unit table, plus the float32 casts of the units'
+alpha-weighted squared norms, computed in float64. These are the only derived
+copies of the table: 4 * ((K+1) * dim + 1) bytes per unit beside it, and the
+product reads half the bytes of a float64 one. Every unit whose screened value
+lies within a floating-point error bound of the second-smallest one is then
+re-ranked with the full context-weighted distance in float64. The bound covers
+float32 rounding, underflow and any summation order, and the screen is skipped
+when float32 could overflow, so winners, runners-up and winner distances are
+bit-identical to a full scan of that distance over all units, ties included:
+output bytes cannot move, only speed.
 
 :meth:`Network.match` matches many sequences at once and changes nothing: it
 takes one frame and the previous winner (-1 at sequence start) of each, builds
@@ -41,10 +41,11 @@ and sequence, n * S * 4 bytes (180 KB at 300 units and 150 sequences).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,22 +58,30 @@ _LARGEST = float(np.finfo(float).max)
 _F32_UNIT_ROUNDOFF = float(np.finfo(np.float32).eps) / 2.0
 _F32_SMALLEST_NORMAL = float(np.finfo(np.float32).tiny)
 _F32_LARGEST = float(np.finfo(np.float32).max)
+# a class's resolved annotations; resolving costs more than building a spec
+_hints = functools.cache(get_type_hints)
 
 
-def check_field_types(spec, *extra_reals) -> None:
-    """Raise ValueError for a field of the dataclass ``spec`` annotated
-    ``int`` or ``bool`` whose value is not exactly of that type (a bool is no
-    int), or for a field annotated ``float`` or an ``extra_reals`` (name,
-    value) pair whose value is not a finite real number."""
-    checks = [(f.name, f.type, getattr(spec, f.name)) for f in fields(spec)]
-    for name, kind, value in checks + [(n, "float", v) for n, v in extra_reals]:
-        if kind in (int, "int") and type(value) is not int:
+def check_field_types(spec) -> None:
+    """Raise ValueError for a field of the dataclass ``spec`` whose value
+    breaks its annotation: ``int`` and ``bool`` need exactly that type (a bool
+    is no int), ``float`` a finite real number, ``tuple[T, ...]`` a tuple
+    whose entries each follow T's rule, and a dataclass an instance of it."""
+    checks = [(f.name, _hints(type(spec))[f.name], getattr(spec, f.name)) for f in fields(spec)]
+    for name, kind, value in checks:  # a tuple's entries join the list as it runs
+        if get_origin(kind) is tuple:
+            if not isinstance(value, tuple):
+                raise ValueError(f"{name} must be a tuple, got {value!r}")
+            checks += [(f"{name} entry", get_args(kind)[0], v) for v in value]
+        elif is_dataclass(kind) and not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        if kind is int and type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
-        if kind in (bool, "bool") and type(value) is not bool:
+        if kind is bool and type(value) is not bool:
             raise ValueError(f"{name} must be a bool, got {value!r}")
         # the exact int/float comparison also rejects ints too large for a float
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if kind in (float, "float") and not (real and abs(value) <= _LARGEST):
+        if kind is float and not (real and abs(value) <= _LARGEST):
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -98,7 +107,7 @@ class HyperParams:
     n_max: int = 2500
 
     def __post_init__(self):
-        check_field_types(self, *(("alpha", a) for a in self.alpha))
+        check_field_types(self)
         if not 0.0 < self.insertion_threshold < 1.0:
             raise ValueError("insertion_threshold must lie in (0, 1)")
         if not 0.0 < self.habituation_threshold < 1.0:
@@ -215,12 +224,9 @@ class Network:
         self._query = np.zeros((k + 1, dim))
         self._alpha = np.asarray(hyper.alpha, dtype=float)
         self._alpha_col = self._alpha[:, None]
-        # _sqnorm[j] is unit j's alpha-weighted squared norm; _units32 and
-        # _sqnorm32 are the float32 casts of _units and _sqnorm. All are kept
-        # in step with _units. _sqmax bounds every _sqnorm value ever held,
-        # never decreases, and is inf once a unit entry cast to float32
-        # overflowed. All feed the screen in _nearest.
-        self._sqnorm = np.zeros(0)
+        # _units32 and _sqnorm32 are the float32 casts of _units and of its
+        # alpha-weighted squared norms; _sqmax bounds every norm ever held, never
+        # decreases, and is inf once a cast overflowed. All feed the screens.
         self._units32 = np.zeros((0, k + 1, dim), dtype=np.float32)
         self._sqnorm32 = np.zeros(0, dtype=np.float32)
         self._sqmax = 0.0
@@ -320,9 +326,9 @@ class Network:
         """Raise RuntimeError naming every broken structural invariant:
         symmetric adjacency without self-edges over exactly the neuron ids,
         habituation in [0, 1] and at or above ``hyper.habituation_floor``,
-        finite units, num_neurons <= n_max, prev_bmu None or a neuron id,
-        cached norms equal to recomputed ones, and the float32 table equal to
-        the units' cast, with an infinite norm bound if any cast overflowed."""
+        finite units, num_neurons <= n_max, prev_bmu None or a neuron id, and
+        the float32 table equal to the cast of the units and their norms, under
+        a norm bound that is infinite if any cast overflowed."""
         n = self.num_neurons
         problems = []
         if not 0 <= n <= self.hyper.n_max:
@@ -346,13 +352,11 @@ class Network:
         if not np.isfinite(units).all():
             problems.append("non-finite weight or context")
         sqnorm = np.einsum("j,ijk,ijk->i", self._alpha, units, units)
-        if not np.array_equal(self._sqnorm[:n], sqnorm):
-            problems.append("cached unit norms are stale")
-        elif n and not self._sqmax >= sqnorm.max():
+        if n and not self._sqmax >= sqnorm.max():
             problems.append("norm bound is below a unit norm")
         with np.errstate(over="ignore"):
             units32 = units.astype(np.float32)
-            sqnorm32 = self._sqnorm[:n].astype(np.float32)
+            sqnorm32 = sqnorm.astype(np.float32)
         if not (
             np.array_equal(self._units32[:n], units32, equal_nan=True)
             and np.array_equal(self._sqnorm32[:n], sqnorm32, equal_nan=True)
@@ -391,7 +395,7 @@ class Network:
         #   lam sqrt(m A_i / a_min) <= (v A_i + m lam^2 / (v a_min)) / 2 and
         #   lam sum |2 alpha_t q_t| <= v Q + m lam^2 a_max / v;
         # * casting A_i and adding it add v A_i + lam and v (2 A_i + Q);
-        # * the float64 roundings (alpha * q, the cached A_i) add a few
+        # * the float64 roundings (alpha * q, the computed A_i) add a few
         #   (m + 2) 2^-53 (A_i + Q), far below v (A_i + Q).
         # With (m + 8) v <= 1/8 the sum is e_i <= (8/7)(m + 6) v (A_i + Q) + E,
         # E = (m lam^2 / v)(1 / (2 a_min) + a_max)(1 + v) + (2m + 2) lam. The
@@ -497,10 +501,9 @@ class Network:
         return rows[w], rows[s], d[w]
 
     def _store_norms(self, rows, units: np.ndarray) -> None:
-        """Cache the norms and float32 casts of ``units``, the current
-        contents of ``rows`` (ids or a slice)."""
+        """Cache the float32 casts of ``units``, the current contents of
+        ``rows`` (ids or a slice), and of their norms."""
         sqnorm = np.einsum("j,ijk,ijk->i", self._alpha, units, units)
-        self._sqnorm[rows] = sqnorm
         top = float(sqnorm.max())
         if top <= self._cast_safe:
             self._units32[rows] = units
@@ -684,7 +687,7 @@ class Network:
         n_max, so memory follows the network's size, not its declared n_max."""
         rows = min(self.hyper.n_max, max(end, 2 * len(self._hab)))
         n = self.num_neurons
-        for name in ("_units", "_hab", "_sqnorm", "_units32", "_sqnorm32"):
+        for name in ("_units", "_hab", "_units32", "_sqnorm32"):
             old = getattr(self, name)
             new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
             new[:n] = old[:n]

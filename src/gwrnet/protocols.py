@@ -68,8 +68,7 @@ class ProtocolSpec:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
+        self.resolved_hyper()  # n_max follows the model's rule
         if not self.test_sessions:
             raise ValueError("test_sessions must not be empty")
 
@@ -171,15 +170,12 @@ def incremental_plan(
     categories = train.categories
     category_order = [categories[i] for i in rng.permutation(len(categories))]
     sessions = train.sessions
-    session_order = [sessions[i] for i in rng.permutation(len(sessions))]
-    minibatches = []
-    for category in category_order:
-        seqs = []
-        for session in session_order:
-            seqs.extend(
-                sorted(train.sequences_of(category, session), key=lambda s: s.instance)
-            )
-        minibatches.append(seqs)
+    rank = {sessions[i]: r for r, i in enumerate(rng.permutation(len(sessions)))}
+    # a stable sort of (session, sequence id) order: ties keep sequence id order
+    minibatches = [
+        sorted(train.sequences_of(c), key=lambda s: (rank[s.session], s.instance))
+        for c in category_order
+    ]
     return category_order, minibatches
 
 

@@ -21,14 +21,19 @@ from .model import Network
 class TemporalSynapses:
     """Directed transition counts P(i, j): neuron i fired right before j.
 
-    ``rows`` restores counts from (prev_id, curr_id, count) triples as
-    :meth:`items` yields them; every count is at least 1.
+    ``rows`` restores counts from (prev_id, curr_id, count) triples of ints as
+    :meth:`items` yields them; ids are at least 0 and every count at least 1.
     """
 
     def __init__(self, rows=()):
         # keyed by target so predecessor lookups, the only hot query, are O(1)
         self._pred: dict[int, dict[int, int]] = {}
         for prev_id, curr_id, count in rows:
+            if not (type(prev_id) is type(curr_id) is type(count) is int
+                    and prev_id >= 0 and curr_id >= 0):
+                raise ValueError(
+                    f"transition {(prev_id, curr_id, count)!r} needs int ids >= 0 and an int count"
+                )
             row = self._pred.setdefault(curr_id, {})
             if prev_id in row:
                 raise ValueError(f"transition ({prev_id}, {curr_id}) is listed twice")

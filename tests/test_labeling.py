@@ -55,8 +55,18 @@ def test_total_records_is_the_sum_of_the_restored_counts():
         ([(0, "a", 0)], 0, "has count 0, below 1"),
         ([(0, "a", -3)], 0, "has count -3, below 1"),
         ([(0, "a", 2)], -1, "replay_records must be nonnegative"),
+        ([(0, "a", 2.0)], 0, r"label row \(0, 'a', 2.0\) needs an int id >= 0 and an int count"),
+        ([(0, "a", True)], 0, r"label row \(0, 'a', True\) needs an int id >= 0 and an int count"),
+        ([(-1, "a", 2)], 0, r"label row \(-1, 'a', 2\) needs an int id >= 0 and an int count"),
+        ([(0.0, "a", 2)], 0, r"label row \(0.0, 'a', 2\) needs an int id >= 0 and an int count"),
+        ([(0, "a", 2)], 0.5, "replay_records must be nonnegative and an int: 0.5"),
+        ([(0, "a", 2)], False, "replay_records must be nonnegative and an int: False"),
     ],
-    ids=["zero-count", "negative-count", "negative-replay-records"],
+    ids=[
+        "zero-count", "negative-count", "negative-replay-records", "float-count",
+        "bool-count", "negative-id", "float-id", "float-replay-records",
+        "bool-replay-records",
+    ],
 )
 def test_restored_counts_break_no_table_rule(rows, replay_records, message):
     """The table states its own rules, so a library caller cannot build one

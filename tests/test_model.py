@@ -353,13 +353,13 @@ def _trained_net():
 def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
     net = _trained_net()
     net._hab[0] = 0.05  # open the insertion gate, above the floor 1 - 1/kappa
-    before = (net._units.copy(), net._hab.copy(), net._sqnorm.copy(), net.global_context)
+    before = (net._units.copy(), net._hab.copy(), net._sqnorm32.copy(), net.global_context)
     x = np.array([0.5, bad, 0.5])
     with pytest.raises(ValueError, match="non-finite"):
         call(net, x)
     assert np.array_equal(net._units, before[0])
     assert np.array_equal(net._hab, before[1])
-    assert np.array_equal(net._sqnorm, before[2])
+    assert np.array_equal(net._sqnorm32, before[2])
     assert np.array_equal(net.global_context, before[3])
     net.check_invariants()
 
@@ -392,7 +392,8 @@ def _overflow_with_finite_bound(net):
     would, under a norm bound that still lets the screen run."""
     net._units[1, 0, 0] = 1e39
     net._store_norms(slice(1, 2), net._units[1:2])
-    net._sqmax = float(net._sqnorm[: net.num_neurons].max())
+    units = net._units[: net.num_neurons]
+    net._sqmax = float(np.einsum("j,ijk,ijk->i", net._alpha, units, units).max())
 
 
 @pytest.mark.parametrize(
@@ -871,6 +872,8 @@ def test_hyperparams_reference_defaults():
         pytest.param({"tau_b": 10**400}, id="int-too-large-for-float"),
         pytest.param({"alpha": (0.67, float("inf"), 0.09)}, id="infinite-alpha"),
         pytest.param({"tau_n": True}, id="bool-tau-n"),
+        pytest.param({"num_contexts": 0, "alpha": 0.5}, id="scalar-alpha"),
+        pytest.param({"num_contexts": 0, "alpha": [1.0]}, id="list-alpha"),
     ],
 )
 def test_hyperparams_validation(kwargs):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gwrnet import protocols
-from gwrnet.datasets import Dataset, SyntheticSpec, generate_synthetic, split_by_sessions
+from gwrnet.datasets import (
+    Dataset, Sequence, SyntheticSpec, generate_synthetic, split_by_sessions
+)
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import HyperParams, init_growing, init_static
 from gwrnet.protocols import (
@@ -91,6 +93,16 @@ def test_spec_rejects_bad_fields():
         tiny_spec(kind="batch", epochs=1.5)
     with pytest.raises(ValueError, match="replay must be a bool"):
         tiny_spec(replay="no")
+    for bad in ((True,), (1.0,), (2, 1.5)):
+        with pytest.raises(ValueError, match="test_sessions entry must be an int"):
+            tiny_spec(test_sessions=bad)
+    for bad in (3, [2]):
+        with pytest.raises(ValueError, match="test_sessions must be a tuple"):
+            tiny_spec(test_sessions=bad)
+    with pytest.raises(ValueError, match="hyper must be a HyperParams, got None"):
+        tiny_spec(hyper=None)
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        tiny_spec(n_max=1)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -201,11 +213,11 @@ def test_lockstep_evaluate_equals_frame_by_frame_reference(full_scan, num_contex
 
 def test_evaluate_leaves_the_network_untouched():
     net, counts, test = _trained()
-    before = [a.copy() for a in (net._units, net._hab, net._query, net._sqnorm, net._units32)]
+    before = [a.copy() for a in (net._units, net._hab, net._query, net._sqnorm32, net._units32)]
     state = (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items()))
     assert net.prev_bmu is not None and net._query[1:].any()
     evaluate(net, counts, _ragged(test))
-    after = [net._units, net._hab, net._query, net._sqnorm, net._units32]
+    after = [net._units, net._hab, net._query, net._sqnorm32, net._units32]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items())) == state
     assert counts.replay_records == 0
@@ -238,6 +250,47 @@ def test_incremental_minibatch_covers_all_category_sequences():
     for category, batch in zip(order, batches):
         expected = {s.sequence_id for s in train.sequences_of(category)}
         assert {s.sequence_id for s in batch} == expected
+
+
+def _per_session_plan(spec, train, trial):
+    """The plan as one (category, session) scan at a time: the reference for
+    incremental_plan's order."""
+    rng = protocols._trial_rng(spec, trial)
+    categories = train.categories
+    category_order = [categories[i] for i in rng.permutation(len(categories))]
+    sessions = train.sessions
+    session_order = [sessions[i] for i in rng.permutation(len(sessions))]
+    minibatches = []
+    for category in category_order:
+        seqs = []
+        for session in session_order:
+            scan = [s for s in train.sequences if s.category == category and s.session == session]
+            seqs.extend(sorted(scan, key=lambda s: s.instance))
+        minibatches.append(seqs)
+    return category_order, minibatches
+
+
+def test_incremental_plan_matches_per_session_reference():
+    rng = np.random.default_rng(0)
+    sequences = []
+    for session in (1, 2, 3, 4):
+        for category, instances in (("a", 12), ("b", 3)):
+            # ids run against the instances' text order ("ao10" < "ao2")
+            for ii in reversed(range(instances)):
+                instance = f"{category}o{ii}"
+                features = rng.standard_normal((2, 3))
+                sequences.append(Sequence(category, instance, session, len(sequences), features))
+    # a second recording of one (category, instance, session)
+    sequences.append(Sequence("a", "ao3", 2, len(sequences), rng.standard_normal((2, 3))))
+    train = Dataset(sequences)
+    for seed, trial in ((1, 0), (1, 3), (4, 1), (9, 2), (12, 5)):
+        spec = tiny_spec(seed=seed)
+        order, batches = incremental_plan(spec, train, trial)
+        want_order, want_batches = _per_session_plan(spec, train, trial)
+        assert order == want_order
+        assert [[s.sequence_id for s in b] for b in batches] == [
+            [s.sequence_id for s in b] for b in want_batches
+        ]
 
 
 def test_incremental_one_checkpoint_per_category():

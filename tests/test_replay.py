@@ -60,12 +60,23 @@ def test_restored_transition_given_twice_is_rejected():
         TemporalSynapses([(0, 1, 1), (0, 1, 5)])
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_restored_transition_count_below_one_is_rejected(count):
-    """The table states its own rule, so a library caller cannot build one
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, 1, 0)], r"transition \(0, 1\) has count 0, below 1"),
+        ([(0, 1, -3)], r"transition \(0, 1\) has count -3, below 1"),
+        ([(0, 1, 1.5)], r"transition \(0, 1, 1.5\) needs int ids >= 0 and an int count"),
+        ([(0, 1, True)], r"transition \(0, 1, True\) needs int ids >= 0 and an int count"),
+        ([(-1, 1, 1)], r"transition \(-1, 1, 1\) needs int ids >= 0 and an int count"),
+        ([(0, 1.0, 1)], r"transition \(0, 1.0, 1\) needs int ids >= 0 and an int count"),
+    ],
+    ids=["0", "-3", "float-count", "bool-count", "negative-id", "float-id"],
+)
+def test_restored_transition_count_below_one_is_rejected(rows, message):
+    """The table states its own rules, so a library caller cannot build one
     that saves but does not load."""
-    with pytest.raises(ValueError, match=rf"transition \(0, 1\) has count {count}, below 1"):
-        TemporalSynapses([(0, 1, count)])
+    with pytest.raises(ValueError, match=message):
+        TemporalSynapses(rows)
 
 
 def test_record_is_directed():
