@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``gen-data`` writes a synthetic feature CSV, ``run`` executes a
-protocol into a self-describing output directory, ``compare`` aligns the
-summaries of several finished runs, and ``snapshot-dump`` pretty-prints a
-saved model. Exit codes: 0 success, 1 runtime failure, 2 validation failure.
+protocol on a feature CSV into a self-describing output directory,
+``compare`` aligns the summaries of several finished runs, and
+``snapshot-dump`` pretty-prints a saved model. Exit codes: 0 success, 1
+runtime failure, 2 validation failure.
 
 Configuration can come from an INI file (sections [model], [protocol],
 [dataset], [output]); command-line flags override file values, and the fully
@@ -22,7 +23,6 @@ from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from .datasets import (
-    Dataset,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -80,11 +80,10 @@ _SYNTHETIC_KEYS = _keys_of(SyntheticSpec)
 _SECTIONS = {
     "model": _HYPER_KEYS,
     "protocol": _PROTOCOL_KEYS,
-    "dataset": {"path": str, **_SYNTHETIC_KEYS, "data_seed": int},
+    "dataset": {"path": str},
     "output": {"dir": str, "snapshot": _parse_bool, "parallel_trials": int},
 }
-# `run` flags not spelled as the key with dashes; the synthetic spec keys
-# are gen-data's flags
+# `run` flags not spelled as the key with dashes
 _FLAG_NAMES = {
     "n_max": "--nmax",
     "num_contexts": "--contexts",
@@ -160,28 +159,6 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _build_dataset(data_cfg: dict) -> tuple[Dataset, dict]:
-    """The feature CSV at ``path`` if one is given, else the synthetic
-    benchmark; returns the dataset and its resolved [dataset] section."""
-    if "path" in data_cfg:
-        path = data_cfg["path"]
-        ignored = sorted(data_cfg.keys() - {"path"})
-        if ignored:
-            raise ValueError(
-                f"dataset path given together with synthetic dataset keys: {', '.join(ignored)}"
-            )
-        if not Path(path).is_file():
-            raise ValueError(f"dataset file not found: {path}")
-        try:
-            dataset = load_features(path)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return dataset, {"path": path}
-    spec = SyntheticSpec(**{k: v for k, v in data_cfg.items() if k != "data_seed"})
-    data_seed = data_cfg.get("data_seed", 1)
-    return generate_synthetic(spec, data_seed), {"data_seed": data_seed, **asdict(spec)}
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args.config) if args.config else {s: {} for s in _SECTIONS}
 
@@ -191,6 +168,12 @@ def _cmd_run(args) -> int:
         for name, keys in _SECTIONS.items()
     )
 
+    data_path = data_cfg.get("path")
+    if data_path is None:
+        raise ValueError(
+            "a feature CSV is required (--data or [dataset] path); "
+            "`gwrnet gen-data` writes a synthetic one"
+        )
     out_dir = out_cfg.get("dir")
     if not out_dir:
         raise ValueError("an output directory is required (--out or [output] dir)")
@@ -202,7 +185,12 @@ def _cmd_run(args) -> int:
     hyper = HyperParams(**hyper_cfg)
     spec = ProtocolSpec(**{**proto_cfg, "hyper": hyper})
 
-    dataset, data_echo = _build_dataset(data_cfg)
+    if not Path(data_path).is_file():
+        raise ValueError(f"dataset file not found: {data_path}")
+    try:
+        dataset = load_features(data_path)
+    except ValueError as exc:
+        raise ValueError(f"{data_path}: {exc}") from None
     out_path = Path(out_dir)
     if (out_path / "metrics.csv").exists() and not args.force:
         raise ValueError(
@@ -228,7 +216,7 @@ def _cmd_run(args) -> int:
     echo_sections = {
         "model": {k: getattr(hyper, k) for k in _HYPER_KEYS},
         "protocol": {k: getattr(spec, k) for k in _PROTOCOL_KEYS},
-        "dataset": data_echo,
+        "dataset": {"path": data_path},
         # the directory itself is not echoed so reruns into different
         # directories produce byte-identical outputs
         "output": {
@@ -372,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a training protocol")
     run.add_argument("--config", help="INI configuration file")
     for keys in _SECTIONS.values():
-        flag_keys = {k: parse for k, parse in keys.items() if k not in _SYNTHETIC_KEYS}
-        _add_field_flags(run, None, flag_keys, _FLAG_NAMES)
+        _add_field_flags(run, None, keys, _FLAG_NAMES)
     run.add_argument("--force", action="store_true")
     run.set_defaults(func=_cmd_run)
 

@@ -129,7 +129,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     ``dev_t = WALK_PULLBACK * dev_{t-1} + walk_step * z_t`` and ``dev_{-1} = 0``.
     """
     if seed < 0:
-        raise ValueError(f"data_seed must be a non-negative integer, got {seed}")
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     frames_per_seq, dim = spec.frames_per_seq, spec.dim
     centers = _rng(seed, 0).standard_normal((spec.categories, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -196,7 +196,8 @@ def write_features(dataset: Dataset, path) -> None:
 def load_features(path) -> Dataset:
     """Load a feature CSV written by :func:`write_features` (or compatible);
     a malformed file raises ValueError naming the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("line 1: empty file")

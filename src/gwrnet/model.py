@@ -461,9 +461,9 @@ class Network:
         # rows small enough for one BLAS thread; each query keeps the units
         # within its own _screen_cutoff, or every unit past _screen_gate. One
         # einsum re-ranks every candidate (query, unit) pair, and one lexsort
-        # orders each query's candidates by distance. nonzero lists each
-        # query's units in ascending order and lexsort is stable, so ties go
-        # to the smaller id.
+        # orders each query's candidates by distance. The flat row-major
+        # index lists each query's units in ascending order and lexsort is
+        # stable, so ties go to the smaller id.
         n = self.num_neurons
         if n < 2:
             raise RuntimeError("matching needs at least two neurons")
@@ -488,7 +488,7 @@ class Network:
             cutoff = self._screen_cutoff(g.min(axis=1).astype(float), scale.take(screened))
             g[each, b] = g_b
             candidates[screened] = g <= cutoff.astype(np.float32)[:, None]
-        q_ids, rows = candidates.nonzero()
+        q_ids, rows = np.divmod(np.flatnonzero(candidates), n)
         diff = self._units.take(rows, axis=0) - queries.take(q_ids, axis=0)
         d = np.einsum("j,ijk,ijk->i", self._alpha, diff, diff)
         order = np.lexsort((d, q_ids))

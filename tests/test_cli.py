@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from gwrnet import cli
 from gwrnet.cli import main
-from gwrnet.datasets import Dataset, Sequence, write_features
+from gwrnet.datasets import Dataset, Sequence, SyntheticSpec, generate_synthetic, write_features
 from gwrnet.model import HyperParams
+from gwrnet.protocols import ProtocolSpec, run_protocol, write_metrics_csv
 
 TINY_GEN = [
     "gen-data",
@@ -69,6 +70,13 @@ def test_gen_data_rejects_bad_dim(tmp_path, capsys):
     code = main(["gen-data", "--dim", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "dim" in capsys.readouterr().err
+
+
+def test_gen_data_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_self_describing_outputs(tmp_path):
@@ -259,25 +267,69 @@ def test_ini_path_alone_selects_the_feature_file(tmp_path):
     assert f"[dataset]\npath = {data}\n\n" in (from_ini / "config.resolved.ini").read_text()
 
 
+class _RunReached(Exception):
+    pass
+
+
+def _reach_run(*args, **kwargs):
+    raise _RunReached
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or argparse's exit code for a flag it rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize(
-    "ini_dataset, flags, keys",
+    "ini_dataset, flags, message",
     [
-        ("path = {data}\ndim = 6\n", [], "dim"),
-        ("path = {data}\n", ["--data-seed", "2"], "data_seed"),
-        ("categories = 3\ndata_seed = 2\n", ["--data", "{data}"], "categories, data_seed"),
-        ("", ["--data", "{data}", "--data-seed", "2"], "data_seed"),
+        ("path = {data}\ndim = 6\n", [], "unknown config key 'dim' in [dataset]"),
+        ("path = {data}\n", ["--data-seed", "2"], "unrecognized arguments: --data-seed 2"),
+        ("categories = 3\ndata_seed = 2\n", ["--data", "{data}"],
+         "unknown config key 'categories' in [dataset]"),
+        ("", ["--data", "{data}", "--data-seed", "2"], "unrecognized arguments: --data-seed 2"),
     ],
     ids=["ini-path-ini-key", "ini-path-flag-seed", "flag-path-ini-keys", "flag-path-flag-seed"],
 )
-def test_run_rejects_path_with_synthetic_keys(tmp_path, capsys, ini_dataset, flags, keys):
+def test_run_rejects_path_with_synthetic_keys(tmp_path, capsys, ini_dataset, flags, message):
+    """The synthetic shape keys and the data seed belong to gen-data alone,
+    so `run` rejects them as unknown whether the path is a flag or a key."""
     data = gen_tiny(tmp_path)
     config = tmp_path / "mixed.ini"
     config.write_text("[dataset]\n" + ini_dataset.format(data=data))
     out = tmp_path / "mixed"
     flags = [flag.format(data=data) for flag in flags]
-    assert main(["run", "--config", str(config), "--out", str(out)] + flags) == 2
-    assert f"synthetic dataset keys: {keys}\n" in capsys.readouterr().err
+    assert _exit_code(["run", "--config", str(config), "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_without_a_dataset_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_features", _reach_run)
+    monkeypatch.setattr(cli, "run_protocol", _reach_run)
+    out = tmp_path / "nodata"
+    assert main(["run", "--test-sessions", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for name in ("--data", "[dataset] path", "gwrnet gen-data"):
+        assert name in err
+    assert not out.exists()
+
+
+def test_gen_data_then_run_reproduces_the_library_run(tmp_path):
+    """`gen-data --seed S` then `run --data` is the synthetic recipe: it
+    writes the metrics.csv bytes of a library run on generate_synthetic."""
+    data = gen_tiny(tmp_path)
+    code, out = run_tiny(tmp_path, data, "from_csv", ["--replay"])
+    assert code == 0
+    shape = SyntheticSpec(categories=3, instances=2, sessions=4, dim=6, frames_per_seq=5)
+    spec = ProtocolSpec(mode="growing", replay=True, n_max=30, trials=2, seed=3,
+                        test_sessions=(2,))
+    expected = tmp_path / "library.csv"
+    write_metrics_csv(run_protocol(spec, generate_synthetic(shape, 5)).records, expected)
+    assert (out / "metrics.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -287,15 +339,14 @@ def test_run_rejects_path_with_synthetic_keys(tmp_path, capsys, ini_dataset, fla
         (["--test-sessions", "1,2,3,4"], "test_sessions"),
         (["--parallel-trials", "-3"], "parallel_trials"),
         (["--parallel-trials", "0"], "parallel_trials"),
-        (["--data-seed", "-1"], "data_seed"),
         (["--data", ""], "dataset file not found"),
     ],
-    ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "data-seed", "empty-path"],
+    ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "empty-path"],
 )
 def test_run_bad_value_exits_2_naming_it_without_outputs(tmp_path, capsys, extra, named):
     data = gen_tiny(tmp_path)
-    # the data seed is a synthetic key and the empty path replaces the file
-    data_flags = [] if {"--data-seed", "--data"} & set(extra) else ["--data", str(data)]
+    # the empty path replaces the file
+    data_flags = [] if "--data" in extra else ["--data", str(data)]
     out = tmp_path / "bad"
     assert main(TINY_RUN + data_flags + extra + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err
@@ -337,7 +388,7 @@ def test_flag_and_config_key_sets_are_pinned():
 
     assert flags("run") == {
         "--config", "--protocol", "--mode", "--replay", "--nmax", "--epochs",
-        "--trials", "--seed", "--test-sessions", "--data", "--data-seed",
+        "--trials", "--seed", "--test-sessions", "--data",
         "--insertion-threshold", "--habituation-threshold", "--tau-b", "--tau-n",
         "--kappa", "--eps-b", "--eps-n", "--beta", "--contexts", "--alpha",
         "--out", "--parallel-trials", "--snapshot", "--force",
@@ -354,19 +405,18 @@ def test_flag_and_config_key_sets_are_pinned():
         "protocol": {
             "kind", "mode", "replay", "n_max", "epochs", "trials", "seed", "test_sessions",
         },
-        "dataset": {
-            "path", "categories", "instances", "sessions", "dim",
-            "frames_per_seq", "cluster_spread", "walk_step", "noise", "data_seed",
-        },
+        "dataset": {"path"},
         "output": {"dir", "snapshot", "parallel_trials"},
     }
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "bad.ini"
-    # `source` was the dataset selector before a path alone chose the file
+    # `source` was the dataset selector before a path alone chose the file,
+    # and `data_seed` seeded the synthetic set that gen-data now writes
     for text, key in (("[protocol]\nmodee = growing\n", "modee"),
-                      ("[dataset]\nsource = file\n", "source")):
+                      ("[dataset]\nsource = file\n", "source"),
+                      ("[dataset]\ndata_seed = 1\n", "data_seed")):
         config.write_text(text)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
@@ -374,16 +424,7 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-class _RunReached(Exception):
-    pass
-
-
-def _reach_run(*args, **kwargs):
-    raise _RunReached
-
-
-# a valid run.ini per dataset branch; the synthetic spec is tiny, so a fuzz
-# case that reaches the run costs milliseconds
+# a valid run.ini apart from its [dataset] section
 _BASE_INI = {
     "model": {k: cli._format_value(getattr(HyperParams(), k)) for k in cli._HYPER_KEYS},
     "protocol": {
@@ -392,13 +433,8 @@ _BASE_INI = {
     },
     "output": {"dir": "out", "snapshot": "false", "parallel_trials": "1"},
 }
-_SYNTHETIC_DATASET = {
-    "categories": "2", "instances": "2", "sessions": "3", "dim": "2", "frames_per_seq": "3",
-    "cluster_spread": "0.7", "walk_step": "0.1", "noise": "0.02", "data_seed": "1",
-}
 _INI_KEYS = [(section, key) for section, keys in cli._SECTIONS.items() for key in keys]
-# other integers stay small so the synthetic branch cannot allocate much; a
-# '%' and a line break test the INI syntax itself
+# a '%' and a line break test the INI syntax itself
 _INI_VALUES = st.sampled_from(
     ["", "abc", "-1", "2.0", "inf", "nan", "1e400", "1,2", "12345678901234567890",
      "100%", "1\nx"]
@@ -408,11 +444,13 @@ _INI_VALUES = st.sampled_from(
 @settings(max_examples=400, deadline=None)
 @given(with_path=st.booleans(), edit=st.sampled_from(_INI_KEYS), value=_INI_VALUES)
 def test_fuzzed_run_ini_exits_2_or_reaches_the_run(tmp_path_factory, with_path, edit, value):
+    """An edited run.ini exits 2 or reaches the run; without a dataset path
+    it always exits 2."""
     work = tmp_path_factory.getbasetemp() / "ini_fuzz"
     if not work.exists():
         work.mkdir()
         gen_tiny(work)
-    dataset = {"path": str(work / "data.csv")} if with_path else _SYNTHETIC_DATASET
+    dataset = {"path": str(work / "data.csv")} if with_path else {}
     sections = {name: dict(keys) for name, keys in {**_BASE_INI, "dataset": dataset}.items()}
     section, key = edit
     sections[section][key] = value
@@ -428,6 +466,7 @@ def test_fuzzed_run_ini_exits_2_or_reaches_the_run(tmp_path_factory, with_path, 
         try:
             code = main(["run", "--config", str(config)])
         except _RunReached:
+            assert with_path
             return
     assert code == 2
 

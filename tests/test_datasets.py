@@ -79,7 +79,7 @@ def test_generator_validates_spec():
     for bad in ({"dim": 3.0}, {"categories": True}, {"frames_per_seq": np.int64(5)}):
         with pytest.raises(ValueError, match="must be an int"):
             SyntheticSpec(**bad)
-    with pytest.raises(ValueError, match="data_seed"):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         generate_synthetic(SMALL, seed=-1)
 
 
@@ -240,6 +240,47 @@ def test_loader_rejects_non_finite_feature(tmp_path, cell):
     )
     with pytest.raises(ValueError, match="line 4: non-finite"):
         load_features(path)
+
+
+_HEADER = "label_category,label_instance,session,sequence,frame,f0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty file"),
+        ("label_category,label_instance,session,sequence,frame,f1,f0\ncat,cat_a,1,0,0,0.5,1.5\n",
+         "line 1: feature columns must be f0..f{n-1}"),
+        (_HEADER, "line 2: no data rows"),
+        (_HEADER + "cat,cat_a,1,0,0,0.5\ndog,dog_a,1,1,0,0.5\ncat,cat_a,1,0,1,0.5\n",
+         "line 4: sequence 0 is not contiguous"),
+        (_HEADER + "cat,cat_a,1,0,0,0.5\ndog,dog_a,1,0,1,0.5\n",
+         "line 3: sequence 0 changes labels mid-stream"),
+    ],
+    ids=["empty", "feature-names", "header-only", "sequence-reappears", "labels-change"],
+)
+def test_loader_names_the_line_of_each_rule(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_features(path)
+    assert str(info.value) == message
+
+
+def test_loader_reads_a_byte_order_mark_and_crlf_lines(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark and end
+    lines with CRLF; such a copy loads to the same dataset."""
+    plain = tmp_path / "plain.csv"
+    write_features(generate_synthetic(SMALL, seed=11), plain)
+    exported = tmp_path / "exported.csv"
+    exported.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_features(plain), load_features(exported)
+    assert a.dim == b.dim and len(a.sequences) == len(b.sequences)
+    for sa, sb in zip(a.sequences, b.sequences):
+        assert (sa.category, sa.instance, sa.session, sa.sequence_id) == (
+            sb.category, sb.instance, sb.session, sb.sequence_id
+        )
+        assert sa.features.tobytes() == sb.features.tobytes()
 
 
 def test_split_by_sessions_partition():
