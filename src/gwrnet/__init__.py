@@ -6,7 +6,6 @@ from .model import (
     STATIC,
     HyperParams,
     Network,
-    Neuron,
     StepOutcome,
     activity,
     habituate,
@@ -20,7 +19,7 @@ from .replay import (
     generate_rnat,
     replay_episode,
 )
-from .snapshot import load_snapshot, load_snapshot_file, save_snapshot, save_snapshot_file
+from .snapshot import load_snapshot, save_snapshot
 
 __all__ = [
     "GROWING",
@@ -28,7 +27,6 @@ __all__ = [
     "HyperParams",
     "LabelAssociations",
     "Network",
-    "Neuron",
     "ReplayReport",
     "Rnat",
     "StepOutcome",
@@ -40,10 +38,8 @@ __all__ = [
     "init_growing",
     "init_static",
     "load_snapshot",
-    "load_snapshot_file",
     "replay_episode",
     "save_snapshot",
-    "save_snapshot_file",
 ]
 
 __version__ = "0.1.0"

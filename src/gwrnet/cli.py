@@ -36,7 +36,7 @@ from .protocols import (
     write_metrics_csv,
     write_timing_csv,
 )
-from .snapshot import load_snapshot_file
+from .snapshot import load_snapshot
 
 
 def _parse_bool(raw: str) -> bool:
@@ -302,7 +302,7 @@ def _cmd_snapshot_dump(args) -> int:
     path = Path(args.snapshot_path)
     if not path.is_file():
         raise ValueError(f"snapshot file not found: {path}")
-    network, synapses, label_counts = load_snapshot_file(path)
+    network, synapses, label_counts = load_snapshot(path.read_text(encoding="utf-8"))
     print(f"snapshot {path}")
     print(f"  mode={network.mode} dim={network.dim} steps={network.step_count}")
     print(f"  neurons={network.num_neurons} edges={len(network.edges)}")
@@ -319,10 +319,9 @@ def _cmd_snapshot_dump(args) -> int:
     labeled = sum(1 for i in network.neuron_ids if label_counts.predict(i) is not None)
     print(f"  labeled neurons: {labeled}/{network.num_neurons}")
     if args.neurons:
-        for neuron_id in network.neuron_ids:
-            unit = network.neuron(neuron_id)
+        for neuron_id, hab in enumerate(network.unit_table()[1].tolist()):
             print(
-                f"  neuron {neuron_id}: h={unit.habituation:.4f} "
+                f"  neuron {neuron_id}: h={hab:.4f} "
                 f"label={label_counts.predict(neuron_id)!r} "
                 f"neighbors={network.neighbors(neuron_id)}"
             )

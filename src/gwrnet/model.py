@@ -152,16 +152,6 @@ class HyperParams:
 
 
 @dataclass
-class Neuron:
-    """Read-only view of one unit: weight, context stack, habituation."""
-
-    id: int
-    weight: np.ndarray
-    contexts: np.ndarray  # (num_contexts, dim)
-    habituation: float
-
-
-@dataclass
 class StepOutcome:
     """What one learning iteration did."""
 
@@ -198,23 +188,37 @@ _SCREEN_BLOCK = 2**18
 class Network:
     """Dynamic neuron set with undirected topology and global temporal context.
 
-    Construct through :func:`init_growing` or :func:`init_static`. Neuron ids
-    are dense integers assigned in creation order and never reused (nothing
-    is ever removed), so id k lives in storage row k.
+    Built from a unit table: ``units``, shape (count, num_contexts + 1, dim),
+    holds each neuron's [weight, context_1..K] row and ``habs`` their
+    habituations, one number for all or one per row; the input dimension is
+    ``units.shape[2]``. Malformed or non-finite units raise ValueError, more
+    than ``n_max`` rows RuntimeError. The neurons start unconnected, at a
+    sequence start. :func:`init_growing`, :func:`init_static` and
+    ``load_snapshot`` all build through this constructor, and
+    :meth:`unit_table` is the one way to read rows back. Neuron ids are dense
+    integers assigned in creation order and never reused (nothing is ever
+    removed), so id k lives in storage row k.
     """
 
-    def __init__(self, dim: int, hyper: HyperParams, mode: str, rng_seed: int = 0):
+    def __init__(self, hyper: HyperParams, mode: str, units, habs=1.0, rng_seed: int = 0):
         if mode not in (GROWING, STATIC):
             raise ValueError(f"unknown mode {mode!r}")
-        if dim < 1:
+        units = np.asarray(units, dtype=float)
+        k = hyper.num_contexts
+        if units.ndim != 3:
+            raise ValueError(f"units of shape {units.shape} are not a (count, {k + 1}, dim) table")
+        if units.shape[2] < 1:
             raise ValueError("input dimension must be positive")
-        self.dim = dim
+        if units.shape[1] != k + 1:
+            raise ValueError(f"unit rows of depth {units.shape[1]} need num_contexts + 1 = {k + 1}")
+        if not np.isfinite(units).all():
+            raise ValueError("unit rows hold non-finite values")
+        dim = self.dim = units.shape[2]
         self.hyper = hyper
         self.mode = mode
         self.rng_seed = rng_seed
         self.step_count = 0
         self.prev_bmu: Optional[int] = None
-        k = hyper.num_contexts
         # Row j of _units is neuron j as [weight, context_1, ..., context_K];
         # _query holds [input, C_1, ..., C_K] in the same layout so matching,
         # adaptation and insertion are single fused array operations. The
@@ -256,6 +260,7 @@ class Network:
         # the frame _iterate has validated; the public methods it calls
         # recognise this exact object and skip validating it again
         self._frame: Optional[np.ndarray] = None
+        self._append_units(units, habs)
 
     # -- introspection ----------------------------------------------------
 
@@ -283,15 +288,6 @@ class Network:
     def has_neuron(self, neuron_id: int) -> bool:
         return 0 <= neuron_id < self.num_neurons
 
-    def neuron(self, neuron_id: int) -> Neuron:
-        self._check_id(neuron_id)
-        return Neuron(
-            id=neuron_id,
-            weight=self._units[neuron_id, 0].copy(),
-            contexts=self._units[neuron_id, 1:].copy(),
-            habituation=float(self._hab[neuron_id]),
-        )
-
     def unit_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of every neuron's [weight, context_1..K] rows,
         shape (num_neurons, num_contexts + 1, dim), and of their
@@ -304,9 +300,6 @@ class Network:
     def neighbors(self, neuron_id: int) -> list[int]:
         self._check_id(neuron_id)
         return sorted(self._adj[neuron_id])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self.has_neuron(i) and j in self._adj[i]
 
     def _check_id(self, neuron_id: int) -> None:
         if not self.has_neuron(neuron_id):
@@ -659,15 +652,11 @@ class Network:
         return new_id
 
     def _append_units(self, units: np.ndarray, habs) -> range:
-        """Append unconnected neurons from (count, num_contexts + 1, dim) rows
-        [weight, context_1..K] and their habituations; returns the new ids."""
-        units = np.asarray(units, dtype=float)
-        if units.ndim != 3 or units.shape[1:] != self._units.shape[1:]:
-            raise ValueError(
-                f"unit rows of shape {units.shape[1:]} do not match {self._units.shape[1:]}"
-            )
+        """Append unconnected neurons from checked (count, num_contexts + 1,
+        dim) rows [weight, context_1..K] and their habituations; returns the
+        new ids."""
         start = self.num_neurons
-        end = start + units.shape[0]
+        end = start + len(units)
         if end > self.hyper.n_max:
             raise RuntimeError(f"{end} neurons exceed n_max {self.hyper.n_max}")
         if end > len(self._hab):
@@ -696,14 +685,6 @@ class Network:
         self._learning = np.empty((3, rows))
         self._learning[:, 0] = (hy.eps_b, hy.tau_b, hy.tau_b * hy.kappa)
         self._learning[:, 1:] = [[hy.eps_n], [hy.tau_n], [hy.tau_n * hy.kappa]]
-
-    def _append_neuron(
-        self, weight: np.ndarray, contexts: np.ndarray, hab: float
-    ) -> int:
-        unit = np.empty((1,) + self._units.shape[1:])
-        unit[0, 0] = weight
-        unit[0, 1:] = contexts
-        return self._append_units(unit, hab)[0]
 
     # -- learning iterations --------------------------------------------------
 
@@ -756,13 +737,12 @@ class Network:
 
 def init_growing(dim: int, hyper: HyperParams, first_two_inputs) -> Network:
     """Growing-mode network seeded with two neurons copying the given inputs."""
-    a, b = first_two_inputs
-    net = Network(dim, hyper, GROWING)
+    a, b = (np.asarray(x, dtype=float) for x in first_two_inputs)
+    if not a.shape == b.shape == (dim,):
+        raise ValueError(f"seed inputs of shapes {a.shape} and {b.shape} are not ({dim},)")
     units = np.zeros((2, hyper.num_contexts + 1, dim))
-    for row, vec in zip(units, (a, b)):
-        row[0] = net._check_input(vec)
-    net._append_units(units, 1.0)
-    return net
+    units[:, 0] = a, b
+    return Network(hyper, GROWING, units)
 
 
 def init_static(
@@ -782,9 +762,7 @@ def init_static(
         raise ValueError("bounds and their range must be finite")
     if np.any(low > high):
         raise ValueError("bounds_low must not exceed bounds_high")
-    net = Network(dim, hyper, STATIC, rng_seed=seed)
     rng = np.random.default_rng(seed)
     units = np.zeros((hyper.n_max, hyper.num_contexts + 1, dim))
     units[:, 0] = rng.uniform(low, high, size=(hyper.n_max, dim))
-    net._append_units(units, 1.0)
-    return net
+    return Network(hyper, STATIC, units, rng_seed=seed)

@@ -10,11 +10,8 @@ the network already knows; it never grows it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from .labeling import Label, LabelAssociations
+from .labeling import LabelAssociations
 from .model import Network
 
 
@@ -65,44 +62,34 @@ class TemporalSynapses:
 
 @dataclass
 class Rnat:
-    """Reactivated trajectory: ids run backward in time from the source."""
+    """Reactivated trajectory: neuron ids running backward in time from the
+    source ``ids[0]``. Replay presents each id's weight and label as one
+    frozen copy per episode holds them."""
 
-    source_id: int
     ids: list[int]
-    weights: list[np.ndarray]
-    labels: list[Optional[Label]]
 
 
-def generate_rnat(
-    network: Network,
-    synapses: TemporalSynapses,
-    source_id: int,
-    label_counts: LabelAssociations,
-) -> Rnat:
+def generate_rnat(network: Network, synapses: TemporalSynapses, source_id: int) -> Rnat:
     """Walk the most-frequent-predecessor chain from ``source_id``.
 
     Produces up to num_contexts + 2 elements (source plus num_contexts + 1
     hops). Each hop picks the neuron with the highest transition count into
     the previous element, excluding that element itself; ties resolve to the
     smallest id, and the walk truncates when no predecessor was ever seen.
+    An id on the chain that names no neuron of ``network`` raises KeyError.
     """
-    if not network.has_neuron(source_id):
-        raise KeyError(f"no neuron with id {source_id}")
-    length = network.hyper.num_contexts + 1
     ids = [source_id]
-    for _ in range(length):
+    for _ in range(network.hyper.num_contexts + 1):
         tail = ids[-1]
         counts = synapses.predecessor_counts(tail)
         best = max(sorted(i for i in counts if i != tail), key=counts.get, default=None)
         if best is None:
             break
         ids.append(best)
-    return Rnat(
-        source_id=source_id,
-        ids=ids,
-        weights=[network.neuron(i).weight for i in ids],
-        labels=[label_counts.predict(i) for i in ids],
-    )
+    for neuron_id in ids:
+        if not network.has_neuron(neuron_id):
+            raise KeyError(f"no neuron with id {neuron_id}")
+    return Rnat(ids)
 
 
 @dataclass
@@ -118,25 +105,27 @@ def replay_episode(
 ) -> ReplayReport:
     """Generate one trajectory per neuron, then re-present them all.
 
-    Trajectories are generated first, over a frozen view of the transition
-    counts and weights, then each is replayed oldest element first through
-    the consolidation dynamics (no insertion, no transition recording,
-    replay-attributed label credit). Single-element trajectories carry no
-    temporal information and are skipped. The context is reset around every
-    trajectory so replayed sequences never blend with real input or each
-    other.
+    Everything replay presents is frozen before the first replayed step: the
+    trajectories, over the transition counts as they are; one copy of the
+    unit table's weight column; and one readout, each neuron's predicted
+    label, the rule evaluation uses. Each trajectory is then replayed oldest
+    element first, as the frozen weight and label of every id on its chain,
+    through the consolidation dynamics (no insertion, no transition
+    recording, replay-attributed label credit). Single-element trajectories
+    carry no temporal information and are skipped. The context is reset
+    around every trajectory so replayed sequences never blend with real input
+    or each other.
     """
-    rnats = [
-        generate_rnat(network, synapses, neuron_id, label_counts)
-        for neuron_id in network.neuron_ids
-    ]
+    rnats = [generate_rnat(network, synapses, neuron_id) for neuron_id in network.neuron_ids]
+    weights = network.unit_table()[0][:, 0].copy()
+    readout = [label_counts.predict(i) for i in network.neuron_ids]
     steps = 0
     for rnat in rnats:
         if len(rnat.ids) < 2:
             continue
         network.reset_context()
-        for weight, label in zip(reversed(rnat.weights), reversed(rnat.labels)):
-            network.replay_step(weight, label, label_counts)
+        for neuron_id in reversed(rnat.ids):
+            network.replay_step(weights[neuron_id], readout[neuron_id], label_counts)
             steps += 1
     network.reset_context()
     return ReplayReport(trajectories=len(rnats), steps_applied=steps)

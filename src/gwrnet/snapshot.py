@@ -153,13 +153,13 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     contexts = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
     global_context = _floats(doc["global_context"], (k, dim), "global context")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
-    network = Network(dim, hyper, doc["mode"], rng_seed=_count(doc["rng_seed"], "rng_seed"))
-    network.prev_bmu = None if doc["prev_bmu"] is None else _count(doc["prev_bmu"], "prev_bmu")
-    network.step_count = _count(doc["step_count"], "step_count")
-    network.global_context = global_context
+    units = np.concatenate([weights[:, None], contexts], axis=1)
     # the network states its own rules; the checks above are of the format
     try:
-        network._append_units(np.concatenate([weights[:, None], contexts], axis=1), habs)
+        network = Network(hyper, doc["mode"], units, habs, _count(doc["rng_seed"], "rng_seed"))
+        network.prev_bmu = None if doc["prev_bmu"] is None else _count(doc["prev_bmu"], "prev_bmu")
+        network.step_count = _count(doc["step_count"], "step_count")
+        network.global_context = global_context
         for i, j in _table(doc["edges"], 2, 2, n, "edges").tolist():
             network.connect(i, j)
         network.check_invariants()
@@ -180,13 +180,3 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     if total != label_counts.total_records:
         raise ValueError(f"snapshot total_label_records {total} is not the label count sum")
     return network, synapses, label_counts
-
-
-def save_snapshot_file(path, network, synapses, label_counts) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(save_snapshot(network, synapses, label_counts))
-
-
-def load_snapshot_file(path) -> tuple[Network, TemporalSynapses, LabelAssociations]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_snapshot(fh.read())

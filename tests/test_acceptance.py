@@ -184,7 +184,7 @@ def gating_audit():
                     gate = (
                         probe.mode == GROWING
                         and math.exp(-d) < hyper.insertion_threshold
-                        and probe.neuron(b).habituation < hyper.habituation_threshold
+                        and probe.unit_table()[1][b] < hyper.habituation_threshold
                         and probe.num_neurons < n_max
                     )
                     if (out.inserted is not None) != gate:
@@ -227,7 +227,7 @@ def test_criterion_1_equation_suite():
     checks.append(abs(habituate(fp, 0.3, 1.05) - fp) < 1e-12)
     adapt_net = init_growing(2, k0, (np.zeros(2), np.array([5.0, 5.0])))
     adapt_net.adapt(0, np.array([1.0, 0.0]))
-    checks.append(bool(np.all(adapt_net.neuron(0).weight == [0.5, 0.0])))
+    checks.append(bool(np.all(adapt_net.unit_table()[0][0, 0] == [0.5, 0.0])))
 
     rng = np.random.default_rng(42)
     reduction_ok = 0
@@ -298,16 +298,17 @@ def test_criterion_2_oracle_equivalence():
         alpha = tuple(rng.uniform(0.05, 1.0, size=k + 1))
         n = int(rng.integers(2, 51))
         hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=max(n, 2))
-        net = Network(dim, hyper, GROWING)
-        for _ in range(n):
-            net._append_neuron(
-                rng.normal(size=dim), rng.normal(size=(k, dim)), float(rng.uniform(0, 1))
-            )
-        net._query[1:] = rng.normal(size=(k, dim))
+        units, habs = np.empty((n, k + 1, dim)), np.empty(n)
+        for row in range(n):
+            units[row, 0] = rng.normal(size=dim)
+            units[row, 1:] = rng.normal(size=(k, dim))
+            habs[row] = rng.uniform(0, 1)
+        net = Network(hyper, GROWING, units, habs)
+        net.global_context = rng.normal(size=(k, dim))
         x = rng.normal(size=dim)
         b, s, _ = net.find_bmu(x)
-        query = np.concatenate((x[None], net._query[1:]), axis=0)
-        if (b, s) == _oracle_bmu(net._units[:n], alpha, query):
+        query = np.concatenate((x[None], net.global_context), axis=0)
+        if (b, s) == _oracle_bmu(net.unit_table()[0], alpha, query):
             bmu_ok += 1
 
     rnat_ok = 0
@@ -316,9 +317,11 @@ def test_criterion_2_oracle_equivalence():
         k = int(rng.integers(0, 3))
         alpha = tuple([1.0] + [0.1] * k)
         hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=max(n, 2))
-        net = Network(3, hyper, GROWING)
-        for _ in range(n):
-            net._append_neuron(rng.normal(size=3), rng.normal(size=(k, 3)), 1.0)
+        units = np.empty((n, k + 1, 3))
+        for unit in units:
+            unit[0] = rng.normal(size=3)
+            unit[1:] = rng.normal(size=(k, 3))
+        net = Network(hyper, GROWING, units)
         synapses = TemporalSynapses()
         pairs = {}
         for _ in range(int(rng.integers(0, 60))):
@@ -326,7 +329,7 @@ def test_criterion_2_oracle_equivalence():
             synapses.record(i, j)
             pairs[(i, j)] = pairs.get((i, j), 0) + 1
         source = int(rng.integers(0, n))
-        rnat = generate_rnat(net, synapses, source, LabelAssociations())
+        rnat = generate_rnat(net, synapses, source)
         if rnat.ids == _oracle_walk(pairs, range(n), source, k + 1):
             rnat_ok += 1
     elapsed = time.perf_counter() - start

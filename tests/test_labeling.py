@@ -171,9 +171,8 @@ def test_classify_sample_carries_context_across_frames():
     lies exactly between the units, so only the context carried from the
     first frame's winner decides the second winner."""
     hyper = HyperParams(num_contexts=1, alpha=(0.6, 0.4), n_max=10)
-    net = Network(2, hyper, GROWING)
     w0, w1 = np.array([0.0, 0.0]), np.array([5.0, 5.0])
-    net._append_units(np.array([[w0, w0], [w1, w1]]), 1.0)
+    net = Network(hyper, GROWING, [[w0, w0], [w1, w1]])
     counts = LabelAssociations()
     counts.record(0, "near")
     counts.record(1, "far")

@@ -106,8 +106,7 @@ def test_find_bmu_exact_match():
 
 
 def test_find_bmu_needs_two_neurons():
-    net = Network(2, K0, GROWING)
-    net._append_neuron(np.zeros(2), np.zeros((0, 2)), 1.0)
+    net = Network(K0, GROWING, np.zeros((1, 1, 2)))
     with pytest.raises(RuntimeError):
         net.find_bmu(np.zeros(2))
 
@@ -120,16 +119,17 @@ def test_find_bmu_matches_brute_force_scan(full_scan):
         alpha = tuple(rng.uniform(0.05, 1.0, size=k + 1))
         n = int(rng.integers(2, 51))
         hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=max(n, 2))
-        net = Network(dim, hyper, GROWING)
-        for _ in range(n):
-            net._append_neuron(
-                rng.normal(size=dim), rng.normal(size=(k, dim)), float(rng.uniform(0, 1))
-            )
-        net._query[1:] = rng.normal(size=(k, dim))
+        units, habs = np.empty((n, k + 1, dim)), np.empty(n)
+        for row in range(n):
+            units[row, 0] = rng.normal(size=dim)
+            units[row, 1:] = rng.normal(size=(k, dim))
+            habs[row] = rng.uniform(0, 1)
+        net = Network(hyper, GROWING, units, habs)
+        net.global_context = rng.normal(size=(k, dim))
         x = rng.normal(size=dim)
         got = net.find_bmu(x)
-        query = np.concatenate((x[None], net._query[1:]), axis=0)
-        want = brute_force_bmu(net._units[:n], alpha, query)
+        query = np.concatenate((x[None], net.global_context), axis=0)
+        want = brute_force_bmu(net.unit_table()[0], alpha, query)
         assert got[0] == want[0] and got[1] == want[1]
         assert got == full_scan(net, query)
 
@@ -168,9 +168,7 @@ def screen_case(seed, n, dim, k, alpha_kind, tiny, offset, scale, duplicates, ul
     for _ in range(ulp_apart):
         i, j = rng.integers(0, n, size=2)
         units[i] = np.nextafter(units[j], np.inf)
-    net = Network(dim, hyper, GROWING)
-    net._append_units(units, 1.0)
-    return net, units, rng
+    return Network(hyper, GROWING, units), units, rng
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,8 +250,7 @@ def test_lockstep_nearest_mixes_screened_and_gated_queries(full_scan):
     which keep every unit; each gets the full scan's result."""
     rng = np.random.default_rng(11)
     hyper = HyperParams(num_contexts=2, alpha=(0.67, 0.24, 0.09), n_max=60)
-    net = Network(4, hyper, GROWING)
-    net._append_units(rng.normal(size=(60, 3, 4)), 1.0)
+    net = Network(hyper, GROWING, rng.normal(size=(60, 3, 4)))
     stack = rng.normal(size=(5, 3, 4))
     stack[[1, 3]] *= 1e150
     weighted = net._alpha_col * stack
@@ -540,14 +537,14 @@ def test_adapt_moves_winner_halfway_at_full_habituation():
     net = two_neuron_net()
     adapted = net.adapt(0, np.array([1.0, 0.0]))
     assert adapted == [0]
-    assert np.allclose(net.neuron(0).weight, [0.5, 0.0], rtol=1e-12)
+    assert np.allclose(net.unit_table()[0][0, 0], [0.5, 0.0], rtol=1e-12)
 
 
 def test_adapt_frozen_at_zero_habituation():
     net = two_neuron_net()
     net._hab[0] = 0.0
     net.adapt(0, np.array([1.0, 0.0]))
-    assert np.all(net.neuron(0).weight == [0.0, 0.0])
+    assert np.all(net.unit_table()[0][0, 0] == [0.0, 0.0])
 
 
 def test_adapt_touches_neighbors():
@@ -557,15 +554,15 @@ def test_adapt_touches_neighbors():
     assert adapted == [0, 1]
     # neighbor moved by eps_n * h * delta
     expect = np.array([5.0, 5.0]) + K0.eps_n * 1.0 * (np.array([1.0, 0.0]) - [5.0, 5.0])
-    assert np.allclose(net.neuron(1).weight, expect, rtol=1e-12)
+    assert np.allclose(net.unit_table()[0][1, 0], expect, rtol=1e-12)
 
 
 def test_adapt_updates_habituation_after_weights():
     net = two_neuron_net()
     net.connect(0, 1)
     net.adapt(0, np.array([1.0, 0.0]))
-    assert net.neuron(0).habituation == pytest.approx(habituate(1.0, K0.tau_b, K0.kappa))
-    assert net.neuron(1).habituation == pytest.approx(habituate(1.0, K0.tau_n, K0.kappa))
+    assert net.unit_table()[1][0] == pytest.approx(habituate(1.0, K0.tau_b, K0.kappa))
+    assert net.unit_table()[1][1] == pytest.approx(habituate(1.0, K0.tau_n, K0.kappa))
 
 
 def test_adapt_contracts_distance_to_input():
@@ -574,9 +571,9 @@ def test_adapt_contracts_distance_to_input():
         net = two_neuron_net(w0=rng.normal(size=2), w1=rng.normal(size=2) + 10)
         net._hab[0] = float(rng.uniform(0.05, 1.0))
         x = rng.normal(size=2)
-        before = float(np.sum((net.neuron(0).weight - x) ** 2))
+        before = float(np.sum((net.unit_table()[0][0, 0] - x) ** 2))
         net.adapt(0, x)
-        after = float(np.sum((net.neuron(0).weight - x) ** 2))
+        after = float(np.sum((net.unit_table()[0][0, 0] - x) ** 2))
         assert after < before or before == 0.0
 
 
@@ -585,8 +582,8 @@ def test_adapt_pulls_contexts_toward_global_context():
     net = init_growing(2, hyper, (np.zeros(2), np.ones(2)))
     net._query[1:] = np.array([[1.0, 1.0], [2.0, 2.0]])
     net.adapt(0, np.zeros(2))
-    assert np.allclose(net.neuron(0).contexts[0], [0.5, 0.5], rtol=1e-12)
-    assert np.allclose(net.neuron(0).contexts[1], [1.0, 1.0], rtol=1e-12)
+    assert np.allclose(net.unit_table()[0][0, 1], [0.5, 0.5], rtol=1e-12)
+    assert np.allclose(net.unit_table()[0][0, 2], [1.0, 1.0], rtol=1e-12)
 
 
 # -- insertion and wiring --------------------------------------------------------
@@ -597,8 +594,8 @@ def test_insertion_halfway_between_winner_and_input():
     net._hab[0] = 0.05
     new_id = net.maybe_insert(np.array([1.0, 1.0]), 0, 1, act=0.2)
     assert new_id == 2
-    assert np.allclose(net.neuron(2).weight, [0.5, 0.5], rtol=1e-12)
-    assert net.neuron(2).habituation == 1.0
+    assert np.allclose(net.unit_table()[0][2, 0], [0.5, 0.5], rtol=1e-12)
+    assert net.unit_table()[1][2] == 1.0
 
 
 def test_insertion_rewires_winner_pair():
@@ -606,8 +603,8 @@ def test_insertion_rewires_winner_pair():
     net.connect(0, 1)
     net._hab[0] = 0.05
     new_id = net.maybe_insert(np.array([1.0, 1.0]), 0, 1, act=0.2)
-    assert net.has_edge(new_id, 0) and net.has_edge(new_id, 1)
-    assert not net.has_edge(0, 1)
+    assert 0 in net.neighbors(new_id) and 1 in net.neighbors(new_id)
+    assert 1 not in net.neighbors(0)
 
 
 def test_insertion_context_midpoint():
@@ -616,7 +613,7 @@ def test_insertion_context_midpoint():
     net._query[1:] = np.array([[1.0, 0.0], [0.0, 1.0]])
     net._hab[0] = 0.05
     new_id = net.maybe_insert(np.zeros(2), 0, 1, act=0.2)
-    assert np.allclose(net.neuron(new_id).contexts, [[0.5, 0.0], [0.0, 0.5]], rtol=1e-12)
+    assert np.allclose(net.unit_table()[0][new_id, 1:], [[0.5, 0.0], [0.0, 0.5]], rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -661,9 +658,9 @@ def test_static_never_inserts():
 
 def test_connect_creates_idempotently_and_rejects_self_edges():
     net = two_neuron_net()
-    assert not net.has_edge(0, 1)
+    assert 1 not in net.neighbors(0)
     net.connect(0, 1)
-    assert net.has_edge(0, 1) and net.has_edge(1, 0)
+    assert 1 in net.neighbors(0) and 0 in net.neighbors(1)
     net.connect(0, 1)
     assert net.edges == [(0, 1)]
     with pytest.raises(ValueError):
@@ -700,8 +697,8 @@ def test_step_insertion_path():
     out = net.step(np.array([4.0, 0.0]), "far", None, labels)
     assert out.inserted == 2
     # inserting replaces adaptation: the winner keeps its weight
-    assert np.array_equal(net.neuron(0).weight, [0.0, 0.0])
-    assert net.neuron(0).habituation == 0.05
+    assert np.array_equal(net.unit_table()[0][0, 0], [0.0, 0.0])
+    assert net.unit_table()[1][0] == 0.05
     assert net.num_neurons == 3
     # label goes to the inserted neuron, not the winner
     assert labels.row(2) == {"far": 1}
@@ -725,9 +722,9 @@ def test_step_adaptation_path_wires_winner_pair():
     out = net.step(np.array([1.0, 1.0]))
     assert out.inserted is None
     # only the winner adapts: the runner-up was not yet its neighbor
-    assert np.allclose(net.neuron(0).weight, [0.5, 0.5], rtol=1e-12)
-    assert np.array_equal(net.neuron(1).weight, [5.0, 5.0])
-    assert net.has_edge(0, 1)
+    assert np.allclose(net.unit_table()[0][0, 0], [0.5, 0.5], rtol=1e-12)
+    assert np.array_equal(net.unit_table()[0][1, 0], [5.0, 5.0])
+    assert 1 in net.neighbors(0)
     assert net.prev_bmu == 0
     assert net.step_count == 1
 
@@ -768,7 +765,7 @@ def test_insertion_gate_holds_under_random_streams():
         a = math.exp(-d)
         gate = (
             a < hyper.insertion_threshold
-            and probe.neuron(b).habituation < hyper.habituation_threshold
+            and probe.unit_table()[1][b] < hyper.habituation_threshold
             and probe.num_neurons < hyper.n_max
         )
         assert (out.inserted is not None) == gate
@@ -780,8 +777,8 @@ def test_insertion_gate_holds_under_random_streams():
 def test_init_growing_copies_inputs():
     net = init_growing(2, K0, (np.array([0.0, 0.0]), np.array([1.0, 1.0])))
     assert net.num_neurons == 2
-    assert np.array_equal(net.neuron(0).weight, [0.0, 0.0])
-    assert np.array_equal(net.neuron(1).weight, [1.0, 1.0])
+    assert np.array_equal(net.unit_table()[0][0, 0], [0.0, 0.0])
+    assert np.array_equal(net.unit_table()[0][1, 0], [1.0, 1.0])
     assert net.edges == []
     assert net.mode == GROWING
 
@@ -789,8 +786,8 @@ def test_init_growing_copies_inputs():
 def test_init_growing_zero_contexts_and_full_habituation():
     net = init_growing(2, HyperParams(n_max=10), (np.zeros(2), np.ones(2)))
     for neuron_id in (0, 1):
-        assert np.all(net.neuron(neuron_id).contexts == 0.0)
-        assert net.neuron(neuron_id).habituation == 1.0
+        assert np.all(net.unit_table()[0][neuron_id, 1:] == 0.0)
+        assert net.unit_table()[1][neuron_id] == 1.0
 
 
 def test_init_growing_accepts_identical_inputs_and_rejects_bad_dim():
@@ -836,6 +833,37 @@ def test_init_static_rejects_non_finite_bounds(low, high):
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=5)
     with pytest.raises(ValueError, match="finite"):
         init_static(2, hyper, np.array([low, 0.0]), np.array([high, 1.0]), 7)
+
+
+def test_constructor_takes_back_the_table_unit_table_returns():
+    net = _trained_net()
+    units, habs = net.unit_table()
+    rebuilt = Network(net.hyper, GROWING, units, habs)
+    assert np.array_equal(rebuilt.unit_table()[0], units)
+    assert np.array_equal(rebuilt.unit_table()[1], habs)
+    assert rebuilt.dim == 3 and rebuilt.edges == [] and rebuilt.prev_bmu is None
+    rebuilt.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "units, message",
+    [
+        (np.zeros((2, 2)), r"units of shape \(2, 2\) are not a \(count, 1, dim\) table"),
+        (np.zeros((2, 1, 0)), "input dimension must be positive"),
+        (np.zeros((2, 3, 2)), r"unit rows of depth 3 need num_contexts \+ 1 = 1"),
+        (np.array([[[0.0, np.inf]], [[1.0, 1.0]]]), "unit rows hold non-finite values"),
+    ],
+    ids=["2-d", "no-input-dimension", "context-depth", "non-finite"],
+)
+def test_constructor_rejects_malformed_units(units, message):
+    with pytest.raises(ValueError, match=message):
+        Network(K0, GROWING, units)
+
+
+def test_constructor_rejects_more_rows_than_n_max():
+    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=2)
+    with pytest.raises(RuntimeError, match="3 neurons exceed n_max 2"):
+        Network(hyper, STATIC, np.zeros((3, 1, 2)))
 
 
 # -- hyperparameter validation -----------------------------------------------------

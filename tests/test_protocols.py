@@ -10,7 +10,7 @@ from gwrnet.datasets import (
     Dataset, Sequence, SyntheticSpec, generate_synthetic, split_by_sessions
 )
 from gwrnet.labeling import LabelAssociations
-from gwrnet.model import HyperParams, init_growing, init_static
+from gwrnet.model import GROWING, HyperParams, Network, init_growing, init_static
 from gwrnet.protocols import (
     MetricsRecord,
     ProtocolSpec,
@@ -113,15 +113,16 @@ def test_evaluate_perfect_memorization():
     _, test = split_by_sessions(dataset, TEST_SESSIONS)
     seq = test.sequences[0]
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=test.num_frames + 2)
-    net = init_growing(test.dim, hyper, (seq.features[0], seq.features[1]))
-    counts = LabelAssociations()
-    counts.record(0, seq.instance)
-    counts.record(1, seq.instance)
-    # memorize every frame of every test sequence as its own neuron
+    # two seed neurons, then every frame of every test sequence as its own one
+    weights = [seq.features[0], seq.features[1]]
+    instances = [seq.instance, seq.instance]
     for s in test.sequences:
-        for t in range(len(s)):
-            nid = net._append_neuron(s.features[t], np.zeros((0, test.dim)), 1.0)
-            counts.record(nid, s.instance)
+        weights += list(s.features)
+        instances += [s.instance] * len(s)
+    net = Network(hyper, GROWING, np.array(weights)[:, None])
+    counts = LabelAssociations()
+    for nid, instance in enumerate(instances):
+        counts.record(nid, instance)
     assert all(correct == frames for correct, frames in evaluate(net, counts, test).values())
 
 

@@ -11,11 +11,12 @@ from gwrnet.replay import TemporalSynapses, generate_rnat, replay_episode
 def make_net(num_neurons, dim=2, num_contexts=0, seed=0):
     alpha = tuple([1.0] + [0.1] * num_contexts)
     hyper = HyperParams(num_contexts=num_contexts, alpha=alpha, n_max=max(num_neurons, 2))
-    net = Network(dim, hyper, GROWING)
     rng = np.random.default_rng(seed)
-    for _ in range(num_neurons):
-        net._append_neuron(rng.normal(size=dim), rng.normal(size=(num_contexts, dim)), 1.0)
-    return net
+    units = np.empty((num_neurons, num_contexts + 1, dim))
+    for unit in units:
+        unit[0] = rng.normal(size=dim)
+        unit[1:] = rng.normal(size=(num_contexts, dim))
+    return Network(hyper, GROWING, units)
 
 
 def brute_force_walk(synapses, neuron_ids, source, hops):
@@ -101,14 +102,13 @@ def test_rnat_picks_most_frequent_predecessor():
         p.record(0, 1)
     for _ in range(3):
         p.record(2, 1)
-    rnat = generate_rnat(net, p, 1, LabelAssociations())
+    rnat = generate_rnat(net, p, 1)
     assert rnat.ids == [1, 0]
-    assert np.array_equal(rnat.weights[1], net.neuron(0).weight)
 
 
 def test_rnat_truncates_without_evidence():
     net = make_net(3)
-    rnat = generate_rnat(net, TemporalSynapses(), 1, LabelAssociations())
+    rnat = generate_rnat(net, TemporalSynapses(), 1)
     assert rnat.ids == [1]
 
 
@@ -119,7 +119,7 @@ def test_rnat_follows_chain_to_full_depth():
         p.record(3, 2)
         p.record(2, 1)
         p.record(1, 0)
-    rnat = generate_rnat(net, p, 0, LabelAssociations())
+    rnat = generate_rnat(net, p, 0)
     assert rnat.ids == [0, 1, 2, 3]
 
 
@@ -128,7 +128,7 @@ def test_rnat_breaks_ties_by_smallest_id():
     p = TemporalSynapses()
     p.record(3, 1)
     p.record(2, 1)
-    rnat = generate_rnat(net, p, 1, LabelAssociations())
+    rnat = generate_rnat(net, p, 1)
     assert rnat.ids == [1, 2]
 
 
@@ -138,25 +138,24 @@ def test_rnat_skips_immediate_predecessor_self_loop():
     for _ in range(100):
         p.record(1, 1)
     p.record(0, 1)
-    rnat = generate_rnat(net, p, 1, LabelAssociations())
+    rnat = generate_rnat(net, p, 1)
     assert rnat.ids == [1, 0]
-
-
-def test_rnat_attaches_predicted_labels():
-    net = make_net(3, num_contexts=0)
-    p = TemporalSynapses()
-    p.record(0, 1)
-    labels = LabelAssociations()
-    labels.record(1, "cup")
-    labels.record(0, "can")
-    rnat = generate_rnat(net, p, 1, labels)
-    assert rnat.labels == ["cup", "can"]
 
 
 def test_rnat_unknown_source():
     net = make_net(2)
     with pytest.raises(KeyError):
-        generate_rnat(net, TemporalSynapses(), 5, LabelAssociations())
+        generate_rnat(net, TemporalSynapses(), 5)
+
+
+def test_rnat_rejects_a_predecessor_the_network_lacks():
+    """A transition table naming a neuron the network does not have fails
+    while the trajectory is built, not mid-episode."""
+    net = make_net(3)
+    p = TemporalSynapses()
+    p.record(7, 1)
+    with pytest.raises(KeyError, match="no neuron with id 7"):
+        generate_rnat(net, p, 1)
 
 
 def test_rnat_is_pure():
@@ -166,8 +165,8 @@ def test_rnat_is_pure():
     for _ in range(60):
         i, j = rng.integers(0, 5, size=2)
         p.record(int(i), int(j))
-    first = generate_rnat(net, p, 2, LabelAssociations())
-    second = generate_rnat(net, p, 2, LabelAssociations())
+    first = generate_rnat(net, p, 2)
+    second = generate_rnat(net, p, 2)
     assert first.ids == second.ids
 
 
@@ -178,7 +177,7 @@ def test_rnat_matches_brute_force_on_hand_built_chain():
         for _ in range(count):
             p.record(i, j)
     for source in range(4):
-        rnat = generate_rnat(net, p, source, LabelAssociations())
+        rnat = generate_rnat(net, p, source)
         assert rnat.ids == brute_force_walk(p, range(4), source, hops=3)
 
 
@@ -193,7 +192,7 @@ def test_rnat_matches_brute_force_randomized():
             i, j = rng.integers(0, n, size=2)
             p.record(int(i), int(j))
         source = int(rng.integers(0, n))
-        rnat = generate_rnat(net, p, source, LabelAssociations())
+        rnat = generate_rnat(net, p, source)
         assert rnat.ids == brute_force_walk(p, range(n), source, hops=k + 1)
 
 
@@ -272,3 +271,32 @@ def test_replay_label_records_are_tallied_separately():
     report = replay_episode(net, synapses, labels)
     assert labels.replay_records <= report.steps_applied
     assert labels.total_records - labels.replay_records == training_records
+
+
+def test_replay_presents_the_frozen_table_and_readout():
+    """Every replayed (x, label) is the weight row of a unit-table copy and
+    the label of a readout, both taken before the episode, along the
+    generate_rnat chains oldest element first. On this seed some neuron is
+    adapted before its own element is replayed, so an episode that read the
+    live table would present other weights."""
+    net, synapses, labels = trained_toy_setup(seed=1)
+    units = net.unit_table()[0].copy()
+    readout = [labels.predict(i) for i in net.neuron_ids]
+    chains = [generate_rnat(net, synapses, i).ids for i in net.neuron_ids]
+    order = [i for ids in chains if len(ids) >= 2 for i in reversed(ids)]
+    presented, moved = [], []
+    original_step = net.replay_step
+
+    def spy(x, label=None, label_counts=None):
+        i = order[len(presented)]
+        if not np.array_equal(net.unit_table()[0][i, 0], units[i, 0]):
+            moved.append(i)
+        presented.append((np.array(x), label))
+        return original_step(x, label, label_counts)
+
+    net.replay_step = spy
+    replay_episode(net, synapses, labels)
+    assert len(presented) == len(order)
+    for (x, label), i in zip(presented, order):
+        assert np.array_equal(x, units[i, 0]) and label == readout[i]
+    assert moved

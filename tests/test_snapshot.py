@@ -174,6 +174,17 @@ def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
     assert peak < 1_000_000
 
 
+def test_more_neurons_than_n_max_is_rejected():
+    net, synapses, labels, rng = fresh_setup(1)
+    train_some(net, synapses, labels, rng.normal(size=(120, 3)) * 2)
+    assert net.num_neurons > 2
+    doc = json.loads(save_snapshot(net, synapses, labels))
+    doc["hyper"]["n_max"] = 2
+    message = f"snapshot is not a valid network: {net.num_neurons} neurons exceed n_max 2"
+    with pytest.raises(ValueError, match=message):
+        load_snapshot(json.dumps(doc))
+
+
 # -- fuzzing ---------------------------------------------------------------------
 
 def _trained_snapshot(seed):
