@@ -246,9 +246,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _overall_accuracy(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float]]]:
-    """A finished run's checkpoint grid and its (mean, std) overall accuracy
-    at each checkpoint, read from summary.json."""
+# the config echo entries that fix the frames a run trains and tests on; runs
+# that differ in one of them saw different streams, and their accuracies do
+# not pair up
+_STREAM_KEYS = (("dataset", "path"),) + tuple(
+    ("protocol", key) for key in ("seed", "trials", "test_sessions", "kind", "epochs")
+)
+
+
+def _run_summary(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float]], dict]:
+    """A finished run's checkpoint grid, its (mean, std) overall accuracy at
+    each checkpoint and its echoed stream keys, read from summary.json."""
     path = Path(run_dir) / "summary.json"
     if not path.is_file():
         raise ValueError(f"missing summary.json in {run_dir}")
@@ -262,17 +270,25 @@ def _overall_accuracy(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float
         stats = [(cell["mean"], cell["std"]) for cell in cells]
         if any(type(v) is not float for pair in stats for v in pair):
             raise ValueError("acc_overall mean and std are not floats")
+        stream = {key: doc["config"][section][key] for section, key in _STREAM_KEYS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed summary.json in {run_dir}: {exc!r}") from None
-    return grid, stats
+    return grid, stats, stream
 
 
 def _cmd_compare(args) -> int:
     names = args.run_dirs
-    grids, runs = zip(*(_overall_accuracy(run_dir) for run_dir in names))
+    grids, runs, streams = zip(*(_run_summary(run_dir) for run_dir in names))
     if len(set(grids)) != 1:
         detail = "; ".join(f"{d}: {list(g)}" for d, g in zip(names, grids))
         raise ValueError(f"incompatible checkpoint grids: {detail}")
+    differing = [key for _, key in _STREAM_KEYS if any(s[key] != streams[0][key] for s in streams)]
+    if differing:
+        detail = "; ".join(
+            f"{key} (" + ", ".join(f"{d}: {s[key]}" for d, s in zip(names, streams)) + ")"
+            for key in differing
+        )
+        raise ValueError(f"runs saw different streams: they differ in {detail}")
     # one row per checkpoint: the checkpoint, then each run's (mean, std)
     table = [(cp, [run[i] for run in runs]) for i, cp in enumerate(grids[0])]
 

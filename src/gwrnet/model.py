@@ -191,8 +191,10 @@ class Network:
     Built from a unit table: ``units``, shape (count, num_contexts + 1, dim),
     holds each neuron's [weight, context_1..K] row and ``habs`` their
     habituations, one number for all or one per row; the input dimension is
-    ``units.shape[2]``. Malformed or non-finite units raise ValueError, more
-    than ``n_max`` rows RuntimeError. The neurons start unconnected, at a
+    ``units.shape[2]``. Malformed or non-finite units, and habituations that
+    are not one number or one per row in [0, 1], raise ValueError, more than
+    ``n_max`` rows RuntimeError; the habituation floor stays a
+    :meth:`check_invariants` rule. The neurons start unconnected, at a
     sequence start. :func:`init_growing`, :func:`init_static` and
     ``load_snapshot`` all build through this constructor, and
     :meth:`unit_table` is the one way to read rows back. Neuron ids are dense
@@ -213,6 +215,11 @@ class Network:
             raise ValueError(f"unit rows of depth {units.shape[1]} need num_contexts + 1 = {k + 1}")
         if not np.isfinite(units).all():
             raise ValueError("unit rows hold non-finite values")
+        habs = np.asarray(habs, dtype=float)
+        if habs.shape not in ((), units.shape[:1]):
+            raise ValueError(f"habs of shape {habs.shape} are not one number or one per unit row")
+        if not ((habs >= 0.0) & (habs <= 1.0)).all():  # NaN fails both
+            raise ValueError("habituations must be finite and lie in [0, 1]")
         dim = self.dim = units.shape[2]
         self.hyper = hyper
         self.mode = mode
@@ -285,8 +292,10 @@ class Network:
             (i, j) for i, nbrs in self._adj.items() for j in nbrs if i < j
         )
 
-    def has_neuron(self, neuron_id: int) -> bool:
-        return 0 <= neuron_id < self.num_neurons
+    def has_neuron(self, neuron_id) -> bool:
+        """The one statement of the id rule: an ``int``, not a bool, naming an
+        existing neuron. Every method taking an id raises KeyError by it."""
+        return type(neuron_id) is int and 0 <= neuron_id < self.num_neurons
 
     def unit_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of every neuron's [weight, context_1..K] rows,
@@ -303,7 +312,7 @@ class Network:
 
     def _check_id(self, neuron_id: int) -> None:
         if not self.has_neuron(neuron_id):
-            raise KeyError(f"no neuron with id {neuron_id}")
+            raise KeyError(f"no neuron with id {neuron_id!r}")
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         if x is self._frame and x is not None:
@@ -612,10 +621,10 @@ class Network:
 
     def connect(self, i: int, j: int) -> None:
         """Ensure the undirected edge {i, j} exists. Self-edges are rejected."""
-        if i == j:
-            raise ValueError("self-edges are not allowed")
         self._check_id(i)
         self._check_id(j)
+        if i == j:
+            raise ValueError("self-edges are not allowed")
         self._adj[i].add(j)
         self._adj[j].add(i)
 

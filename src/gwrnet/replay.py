@@ -88,7 +88,7 @@ def generate_rnat(network: Network, synapses: TemporalSynapses, source_id: int) 
         ids.append(best)
     for neuron_id in ids:
         if not network.has_neuron(neuron_id):
-            raise KeyError(f"no neuron with id {neuron_id}")
+            raise KeyError(f"no neuron with id {neuron_id!r}")
     return Rnat(ids)
 
 

@@ -82,27 +82,23 @@ def _floats(rows, shape: tuple, what: str) -> np.ndarray:
     return values
 
 
-def _table(rows, width: int, id_columns: int, num_neurons: int, what: str) -> np.ndarray:
-    """Integer rows of ``width`` columns: ``id_columns`` neuron ids that must
-    exist, then counts, which the count tables check."""
-    try:
-        table = np.array(rows)
-    except ValueError:
-        raise ValueError(f"snapshot {what} are not rows of {width} integers") from None
-    if table.size == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    if table.ndim != 2 or table.shape[1] != width or table.dtype.kind not in "iu":
-        raise ValueError(f"snapshot {what} are not rows of {width} integers")
-    ids = table[:, :id_columns]
-    if ((ids < 0) | (ids >= num_neurons)).any():
-        raise ValueError(f"snapshot {what} name a neuron that does not exist")
-    return table
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"snapshot {what} are not a JSON list")
     return value
+
+
+def _rows(rows, width: int, what: str, network: Network | None = None, ids: int = 0) -> list:
+    """A table's JSON rows: lists of ``width`` entries whose first ``ids``
+    name neurons of ``network`` by :meth:`Network.has_neuron`. These are the
+    document's own rules; the table's constructor checks the rest."""
+    if not all(isinstance(row, list) and len(row) == width for row in _list(rows, what)):
+        raise ValueError(f"snapshot {what} are not rows of {width} entries")
+    for row in rows:
+        for neuron_id in row[:ids]:
+            if not network.has_neuron(neuron_id):
+                raise ValueError(f"snapshot {what} name a neuron that does not exist: {row!r}")
+    return rows
 
 
 def _hyper(doc) -> HyperParams:
@@ -128,7 +124,9 @@ def _hyper(doc) -> HyperParams:
 
 def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
-    documents raise ValueError."""
+    documents raise ValueError. No rule of ``Network`` or of the count tables'
+    constructors is restated here: the loader checks the document's format,
+    and with ``Network.has_neuron`` that every table id names its neurons."""
     doc = json.loads(text, object_hook=_Doc)
     if not isinstance(doc, dict):
         raise ValueError("snapshot is not a JSON object")
@@ -143,7 +141,7 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     for expected, entry in enumerate(neurons):
         if not isinstance(entry, dict):
             raise ValueError(f"snapshot neuron {expected} is not a JSON object")
-        if entry["id"] != expected:
+        if type(entry["id"]) is not int or entry["id"] != expected:
             raise ValueError(f"non-dense neuron ids: expected {expected}, got {entry['id']}")
     # every row of dim floats is checked before Network allocates from dim,
     # so a declared dim must be confirmed by the document's own rows
@@ -157,23 +155,21 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     # the network states its own rules; the checks above are of the format
     try:
         network = Network(hyper, doc["mode"], units, habs, _count(doc["rng_seed"], "rng_seed"))
-        network.prev_bmu = None if doc["prev_bmu"] is None else _count(doc["prev_bmu"], "prev_bmu")
+        network.prev_bmu = doc["prev_bmu"]
         network.step_count = _count(doc["step_count"], "step_count")
         network.global_context = global_context
-        for i, j in _table(doc["edges"], 2, 2, n, "edges").tolist():
+        for i, j in _rows(doc["edges"], 2, "edges"):
             network.connect(i, j)
         network.check_invariants()
     except RuntimeError as exc:
         raise ValueError(f"snapshot is not a valid network: {exc}") from None
+    except KeyError as exc:  # connect's id rule, Network.has_neuron
+        raise ValueError(f"snapshot edges name a neuron that does not exist ({exc.args[0]})") from None
 
-    synapses = TemporalSynapses(_table(doc["transitions"], 3, 2, n, "transitions").tolist())
-    label_rows = _list(doc["label_counts"], "label_counts")
-    if not all(isinstance(row, list) and len(row) == 3 for row in label_rows):
-        raise ValueError("snapshot label_counts are not (neuron, label, count) rows")
-    _table([[row[0], row[2]] for row in label_rows], 2, 1, n, "label_counts")
-    replay_records = _count(doc["replay_label_records"], "replay_label_records")
+    synapses = TemporalSynapses(_rows(doc["transitions"], 3, "transitions", network, 2))
+    label_rows = _rows(doc["label_counts"], 3, "label_counts", network, 1)
     try:
-        label_counts = LabelAssociations(label_rows, replay_records)
+        label_counts = LabelAssociations(label_rows, doc["replay_label_records"])
     except TypeError:
         raise ValueError("snapshot label_counts hold an unhashable label") from None
     total = _count(doc["total_label_records"], "total_label_records")

@@ -515,10 +515,13 @@ def test_compare_missing_summary_names_directory(tmp_path, capsys):
         json.dumps({"checkpoints": [[1]], "by_checkpoint": {"[1]": {"acc_overall": {"mean": 0.5, "std": 0.0}}}}),
         json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": 0.5}}}),
         json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": "0.5", "std": 0.0}}}}),
+        json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": 0.5, "std": 0.0}}}}),
+        json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": 0.5, "std": 0.0}}},
+                    "config": {"dataset": {"path": "d.csv"}, "protocol": {"seed": "1"}}}),
     ],
     ids=[
         "no-table", "list", "string", "truncated", "empty-grid", "list-checkpoint",
-        "number-cell", "string-mean",
+        "number-cell", "string-mean", "no-config-echo", "partial-config-echo",
     ],
 )
 def test_compare_rejects_malformed_summary(tmp_path, capsys, text):
@@ -543,6 +546,19 @@ def test_compare_rejects_mismatched_grids(tmp_path, capsys):
     code = main(["compare", str(out_a), str(out_b), "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "incompatible checkpoint grids" in capsys.readouterr().err
+
+
+def test_compare_rejects_runs_on_different_streams(tmp_path, capsys):
+    data = gen_tiny(tmp_path)
+    _, out_a = run_tiny(tmp_path, data, "cmp_f")
+    _, out_b = run_tiny(tmp_path, data, "cmp_g", ["--seed", "4"])
+    table = tmp_path / "t.csv"
+    assert main(["compare", str(out_a), str(out_b), "--out", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "runs saw different streams: they differ in seed (" in err
+    assert "cmp_f: 3" in err and "cmp_g: 4" in err and not table.exists()
+    for key in ("path", "trials", "test_sessions", "kind", "epochs"):
+        assert f"{key} (" not in err
 
 
 def test_snapshot_dump(tmp_path, capsys):
@@ -616,6 +632,12 @@ def _set(path, value):
         (_over_capacity, "3 neurons exceed n_max 2"),
         (_set(["transitions", 0, 2], 0), "has count 0, below 1"),
         (_set(["label_counts", 0, 2], 0), "has count 0, below 1"),
+        (lambda doc: doc.update(transitions=[[False, True, 2]]),
+         r"transitions name a neuron that does not exist: \[False, True, 2\]"),
+        (lambda doc: doc.update(transitions=[[0, 1, True]]), r"transition \(0, 1, True\) needs int"),
+        (lambda doc: doc["edges"].append([0, True]),
+         r"edges name a neuron that does not exist \(no neuron with id True\)"),
+        (_set(["neurons", 1, "id"], True), "non-dense neuron ids: expected 1, got True"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -627,6 +649,7 @@ def _set(path, value):
         "habituation-below-floor", "total-label-records-off-by-one",
         "replay-records-above-total", "repeated-transition-row", "repeated-label-row",
         "more-neurons-than-n-max", "zero-transition-count", "zero-label-count",
+        "bool-transition-ids", "bool-transition-count", "bool-edge-id", "bool-neuron-id",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -6,6 +6,7 @@ against independent brute-force re-implementations kept inside this module.
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -618,8 +619,14 @@ def test_insertion_context_midpoint():
 
 @pytest.mark.parametrize(
     "bmu_id, second_id, error",
-    [(-1, 0, KeyError), (0, 7, KeyError), (0, 0, ValueError)],
-    ids=["negative-winner", "missing-runner-up", "same-neuron"],
+    [
+        (-1, 0, KeyError), (0, 7, KeyError), (0, 0, ValueError),
+        (1.0, 0, KeyError), (True, 0, KeyError), (0, np.int64(1), KeyError),
+    ],
+    ids=[
+        "negative-winner", "missing-runner-up", "same-neuron",
+        "float-winner", "bool-winner", "numpy-int-runner-up",
+    ],
 )
 def test_insertion_rejects_bad_ids_without_side_effects(bmu_id, second_id, error):
     net = two_neuron_net()
@@ -630,6 +637,29 @@ def test_insertion_rejects_bad_ids_without_side_effects(bmu_id, second_id, error
     assert np.array_equal(net.unit_table()[0], units)
     assert np.array_equal(net.unit_table()[1], habs)
     assert net.edges == [] and net.num_neurons == 2
+
+
+@pytest.mark.parametrize("bad", [1.0, True, np.int64(1)], ids=["float", "bool", "numpy-int"])
+@pytest.mark.parametrize("call", ["connect", "adapt", "distance", "neighbors"])
+def test_ids_that_are_not_ints_are_rejected_without_side_effects(call, bad):
+    """Network.has_neuron's id rule, inherited by every method that takes an
+    id: a float, a bool or a numpy integer names no neuron, even when it
+    equals a valid id."""
+    net = two_neuron_net()
+    units, habs = (a.copy() for a in net.unit_table())
+    x = np.array([1.0, 1.0])
+    calls = {
+        "connect": lambda: net.connect(bad, 0),
+        "adapt": lambda: net.adapt(bad, x),
+        "distance": lambda: net.distance(bad, x),
+        "neighbors": lambda: net.neighbors(bad),
+    }
+    with pytest.raises(KeyError, match=re.escape(f"no neuron with id {bad!r}")):
+        calls[call]()
+    assert np.array_equal(net.unit_table()[0], units)
+    assert np.array_equal(net.unit_table()[1], habs)
+    assert net.edges == [] and net.num_neurons == 2
+    net.check_invariants()
 
 
 def test_no_insertion_above_activity_threshold():
@@ -846,18 +876,28 @@ def test_constructor_takes_back_the_table_unit_table_returns():
 
 
 @pytest.mark.parametrize(
-    "units, message",
+    "units, habs, message",
     [
-        (np.zeros((2, 2)), r"units of shape \(2, 2\) are not a \(count, 1, dim\) table"),
-        (np.zeros((2, 1, 0)), "input dimension must be positive"),
-        (np.zeros((2, 3, 2)), r"unit rows of depth 3 need num_contexts \+ 1 = 1"),
-        (np.array([[[0.0, np.inf]], [[1.0, 1.0]]]), "unit rows hold non-finite values"),
+        (np.zeros((2, 2)), 1.0, r"units of shape \(2, 2\) are not a \(count, 1, dim\) table"),
+        (np.zeros((2, 1, 0)), 1.0, "input dimension must be positive"),
+        (np.zeros((2, 3, 2)), 1.0, r"unit rows of depth 3 need num_contexts \+ 1 = 1"),
+        (np.array([[[0.0, np.inf]], [[1.0, 1.0]]]), 1.0, "unit rows hold non-finite values"),
+        (np.zeros((2, 1, 2)), float("nan"), r"habituations must be finite and lie in \[0, 1\]"),
+        (np.zeros((2, 1, 2)), 1.5, r"habituations must be finite and lie in \[0, 1\]"),
+        (np.zeros((2, 1, 2)), [1.0, -0.5], r"habituations must be finite and lie in \[0, 1\]"),
+        (np.zeros((2, 1, 2)), [1.0, np.inf], r"habituations must be finite and lie in \[0, 1\]"),
+        (np.zeros((2, 1, 2)), [1.0] * 3, r"habs of shape \(3,\) are not one number or one per"),
+        (np.zeros((2, 1, 2)), [[1.0]] * 2, r"habs of shape \(2, 1\) are not one number or one per"),
     ],
-    ids=["2-d", "no-input-dimension", "context-depth", "non-finite"],
+    ids=[
+        "2-d", "no-input-dimension", "context-depth", "non-finite", "nan-habituation",
+        "habituation-above-1", "habituation-below-0", "infinite-habituation",
+        "habituations-too-long", "habituations-2-d",
+    ],
 )
-def test_constructor_rejects_malformed_units(units, message):
+def test_constructor_rejects_malformed_units(units, habs, message):
     with pytest.raises(ValueError, match=message):
-        Network(K0, GROWING, units)
+        Network(K0, GROWING, units, habs)
 
 
 def test_constructor_rejects_more_rows_than_n_max():
