@@ -15,7 +15,6 @@ from .model import (
 from .replay import (
     ReplayReport,
     Rnat,
-    TemporalSynapses,
     generate_rnat,
     replay_episode,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ReplayReport",
     "Rnat",
     "StepOutcome",
-    "TemporalSynapses",
     "activity",
     "classify_sample",
     "generate_rnat",

@@ -318,7 +318,7 @@ def _cmd_snapshot_dump(args) -> int:
     path = Path(args.snapshot_path)
     if not path.is_file():
         raise ValueError(f"snapshot file not found: {path}")
-    network, synapses, label_counts = load_snapshot(path.read_text(encoding="utf-8"))
+    network, label_counts = load_snapshot(path.read_text(encoding="utf-8"))
     print(f"snapshot {path}")
     print(f"  mode={network.mode} dim={network.dim} steps={network.step_count}")
     print(f"  neurons={network.num_neurons} edges={len(network.edges)}")
@@ -327,7 +327,7 @@ def _cmd_snapshot_dump(args) -> int:
         f"{k}={list(v) if isinstance(v, tuple) else v}"
         for k, v in asdict(network.hyper).items()
     ))
-    print(f"  transitions recorded: {synapses.total()}")
+    print(f"  transitions recorded: {sum(count for _, _, count in network.transitions)}")
     print(
         f"  label records: {label_counts.total_records} "
         f"(replay-attributed: {label_counts.replay_records})"

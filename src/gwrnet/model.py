@@ -13,8 +13,10 @@ Two operating modes share the same learning dynamics:
 * ``static``: starts with ``n_max`` randomly initialized neurons and never
   inserts.
 
-Transition counts and label histograms are bookkeeping side tables owned by
-the caller and passed into :meth:`Network.step`.
+The network owns its temporal synapses: directed transition counts between
+consecutive training winners, which replay walks. Label histograms are the
+supervised readout and stay with the caller, who passes them into
+:meth:`Network.step`.
 
 Winner search is a screen plus an exact re-rank. The screen ranks every unit
 by ``||u||^2_alpha - 2 u . (alpha * q)`` in float32: one matrix-vector product
@@ -194,15 +196,20 @@ class Network:
     ``units.shape[2]``. Malformed or non-finite units, and habituations that
     are not one number or one per row in [0, 1], raise ValueError, more than
     ``n_max`` rows RuntimeError; the habituation floor stays a
-    :meth:`check_invariants` rule. The neurons start unconnected, at a
-    sequence start. :func:`init_growing`, :func:`init_static` and
-    ``load_snapshot`` all build through this constructor, and
-    :meth:`unit_table` is the one way to read rows back. Neuron ids are dense
-    integers assigned in creation order and never reused (nothing is ever
-    removed), so id k lives in storage row k.
+    :meth:`check_invariants` rule. ``transitions`` restores temporal synapses
+    from (prev_id, curr_id, count) rows, as :attr:`transitions` lists them:
+    both ids pass :meth:`has_neuron`, the count is an int of at least 1 and
+    no row repeats, else ValueError. Training steps alone add to them. The
+    neurons start unconnected, at a sequence start. :func:`init_growing`,
+    :func:`init_static` and ``load_snapshot`` all build through this
+    constructor, and :meth:`unit_table` is the one way to read rows back.
+    Neuron ids are dense integers assigned in creation order and never reused
+    (nothing is ever removed), so id k lives in storage row k.
     """
 
-    def __init__(self, hyper: HyperParams, mode: str, units, habs=1.0, rng_seed: int = 0):
+    def __init__(
+        self, hyper: HyperParams, mode: str, units, habs=1.0, rng_seed: int = 0, transitions=()
+    ):
         if mode not in (GROWING, STATIC):
             raise ValueError(f"unknown mode {mode!r}")
         units = np.asarray(units, dtype=float)
@@ -268,6 +275,19 @@ class Network:
         # recognise this exact object and skip validating it again
         self._frame: Optional[np.ndarray] = None
         self._append_units(units, habs)
+        # transition counts keyed by target, so predecessor lookups, the only
+        # hot query, are O(1)
+        self._pred: dict[int, dict[int, int]] = {}
+        for prev_id, curr_id, count in transitions:
+            given = (prev_id, curr_id, count)
+            if not (self.has_neuron(prev_id) and self.has_neuron(curr_id)):
+                raise ValueError(f"transition {given!r} names a neuron that does not exist")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"transition {given!r} needs an int count of at least 1")
+            row = self._pred.setdefault(curr_id, {})
+            if prev_id in row:
+                raise ValueError(f"transition ({prev_id}, {curr_id}) is listed twice")
+            row[prev_id] = count
 
     # -- introspection ----------------------------------------------------
 
@@ -291,6 +311,22 @@ class Network:
         return sorted(
             (i, j) for i, nbrs in self._adj.items() for j in nbrs if i < j
         )
+
+    @property
+    def transitions(self) -> list[tuple[int, int, int]]:
+        """Every (prev_id, curr_id, count) with a count of at least 1, sorted
+        by curr_id, then prev_id; snapshot bytes depend on this order."""
+        return [
+            (prev_id, curr_id, row[prev_id])
+            for curr_id, row in sorted(self._pred.items())
+            for prev_id in sorted(row)
+        ]
+
+    def predecessor_counts(self, neuron_id: int) -> dict[int, int]:
+        """How often each neuron won the training step right before
+        ``neuron_id`` did, by predecessor id."""
+        self._check_id(neuron_id)
+        return dict(self._pred.get(neuron_id, {}))
 
     def has_neuron(self, neuron_id) -> bool:
         """The one statement of the id rule: an ``int``, not a bool, naming an
@@ -697,33 +733,34 @@ class Network:
 
     # -- learning iterations --------------------------------------------------
 
-    def step(self, x, label=None, transitions=None, label_counts=None) -> StepOutcome:
+    def step(self, x, label=None, label_counts=None) -> StepOutcome:
         """One full learning iteration on a labeled input frame.
 
-        Order: context update, matching, activity, transition recording,
-        insertion attempt (growing mode), otherwise adaptation plus winner
-        pair wiring. The label is credited to the inserted neuron when one is
-        created, else to the winner. ``transitions`` and ``label_counts`` are
-        optional side tables.
+        Order: context update, matching, activity, recording the transition
+        from the previous winner, insertion attempt (growing mode), otherwise
+        adaptation plus winner pair wiring. The label is credited to the
+        inserted neuron when one is created, else to the winner, in the
+        optional ``label_counts``.
         """
-        return self._iterate(x, label, transitions, label_counts, replay=False)
+        return self._iterate(x, label, label_counts, replay=False)
 
     def replay_step(self, x, label=None, label_counts=None) -> StepOutcome:
         """Consolidation iteration for replayed patterns: same dynamics with
         insertion disabled, no transition recording, and replay-attributed
         label credit."""
-        return self._iterate(x, label, None, label_counts, replay=True)
+        return self._iterate(x, label, label_counts, replay=True)
 
-    def _iterate(self, x, label, transitions, label_counts, replay: bool) -> StepOutcome:
+    def _iterate(self, x, label, label_counts, replay: bool) -> StepOutcome:
         x = self._frame = self._check_input(x)
         try:
             self._advance_context()
             bmu_id, second_id, d_b = self.find_bmu(x)
             act = activity(d_b)
-            if transitions is not None and self.prev_bmu is not None:
-                transitions.record(self.prev_bmu, bmu_id)
             inserted = None
             if not replay:
+                if self.prev_bmu is not None:
+                    row = self._pred.setdefault(bmu_id, {})
+                    row[self.prev_bmu] = row.get(self.prev_bmu, 0) + 1
                 inserted = self.maybe_insert(x, bmu_id, second_id, act)
             if inserted is None:
                 self.adapt(bmu_id, x)

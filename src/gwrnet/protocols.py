@@ -27,7 +27,7 @@ from .labeling import LabelAssociations, classify_sample
 from .model import (
     GROWING, STATIC, HyperParams, Network, check_field_types, init_growing, init_static
 )
-from .replay import TemporalSynapses, replay_episode
+from .replay import replay_episode
 from .snapshot import save_snapshot
 
 log = logging.getLogger(__name__)
@@ -62,8 +62,10 @@ class ProtocolSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind == BATCH and self.epochs < 1:
             raise ValueError("batch protocol needs epochs >= 1")
-        if self.kind == INCREMENTAL and self.epochs not in (0, 1):
-            raise ValueError("incremental protocol fixes one iteration per mini-batch")
+        if self.kind == INCREMENTAL and self.epochs != 0:
+            raise ValueError(
+                "incremental protocol fixes one iteration per mini-batch: epochs must be 0"
+            )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -206,7 +208,6 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
     spec, train, test, trial, with_snapshot = job
     seed_frames, checkpoints = _trial_plan(spec, train, trial)
     network = _init_network(spec, train.dim, seed_frames, trial)
-    synapses = TemporalSynapses()
     label_counts = LabelAssociations()
 
     records: list[MetricsRecord] = []
@@ -217,10 +218,10 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
         for seq in sequences:
             network.reset_context()
             for frame in seq.features:
-                network.step(frame, seq.instance, synapses, label_counts)
+                network.step(frame, seq.instance, label_counts)
         network.reset_context()
         if spec.replay:
-            replay_steps += replay_episode(network, synapses, label_counts).steps_applied
+            replay_steps += replay_episode(network, label_counts).steps_applied
         counts = evaluate(network, label_counts, test)
         now = time.perf_counter()
         per_cat = {c: _accuracy([pair]) for c, pair in counts.items()}
@@ -248,7 +249,7 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
             )
         )
         last = now
-    snapshot = save_snapshot(network, synapses, label_counts) if with_snapshot else None
+    snapshot = save_snapshot(network, label_counts) if with_snapshot else None
     return records, snapshot
 
 

@@ -1,7 +1,7 @@
 """Versioned text snapshots of a trained model.
 
-A snapshot bundles the network together with its transition counts and label
-histograms into one JSON document. Serialization is canonical (fixed key
+A snapshot bundles the network, transition counts included, together with the
+label histograms into one JSON document. Serialization is canonical (fixed key
 order, sorted neuron/edge/count listings, shortest round-trip floats), so
 saving, loading and saving again yields identical bytes and a loaded model
 continues training exactly like the original.
@@ -16,19 +16,22 @@ import numpy as np
 
 from .labeling import LabelAssociations
 from .model import HyperParams, Network
-from .replay import TemporalSynapses
 
 SCHEMA_VERSION = 1
 # Schema 1 ends the hyper block with the temporal context rule; the model
 # implements only the recursive Gamma-GWR rule, so the entry is fixed.
 CONTEXT_FORM = "recursive"
+# the keys save_snapshot writes, at the top level and in each neuron entry; a
+# document holding any other key is rejected, as is an unknown hyper key
+_KEYS = frozenset((
+    "schema_version", "mode", "dim", "rng_seed", "step_count", "prev_bmu", "hyper",
+    "global_context", "neurons", "edges", "transitions", "label_counts",
+    "replay_label_records", "total_label_records",
+))
+_NEURON_KEYS = frozenset(("id", "weight", "contexts", "habituation"))
 
 
-def save_snapshot(
-    network: Network,
-    synapses: TemporalSynapses,
-    label_counts: LabelAssociations,
-) -> str:
+def save_snapshot(network: Network, label_counts: LabelAssociations) -> str:
     units, habs = network.unit_table()
     neurons = [
         {"id": neuron_id, "weight": unit[0], "contexts": unit[1:], "habituation": hab}
@@ -45,7 +48,7 @@ def save_snapshot(
         "global_context": network.global_context.tolist(),
         "neurons": neurons,
         "edges": [list(edge) for edge in network.edges],
-        "transitions": [list(item) for item in synapses.items()],
+        "transitions": [list(row) for row in network.transitions],
         "label_counts": [list(item) for item in label_counts.items()],
         "replay_label_records": label_counts.replay_records,
         "total_label_records": label_counts.total_records,
@@ -88,16 +91,15 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _rows(rows, width: int, what: str, network: Network | None = None, ids: int = 0) -> list:
-    """A table's JSON rows: lists of ``width`` entries whose first ``ids``
-    name neurons of ``network`` by :meth:`Network.has_neuron`. These are the
-    document's own rules; the table's constructor checks the rest."""
+def _rows(rows, width: int, what: str, network: Network | None = None) -> list:
+    """A table's JSON rows: lists of ``width`` entries whose first names a
+    neuron of ``network``, if given, by :meth:`Network.has_neuron`. These are
+    the document's own rules; the table's constructor checks the rest."""
     if not all(isinstance(row, list) and len(row) == width for row in _list(rows, what)):
         raise ValueError(f"snapshot {what} are not rows of {width} entries")
-    for row in rows:
-        for neuron_id in row[:ids]:
-            if not network.has_neuron(neuron_id):
-                raise ValueError(f"snapshot {what} name a neuron that does not exist: {row!r}")
+    for row in rows if network is not None else ():
+        if not network.has_neuron(row[0]):
+            raise ValueError(f"snapshot {what} name a neuron that does not exist: {row!r}")
     return rows
 
 
@@ -122,17 +124,20 @@ def _hyper(doc) -> HyperParams:
         raise ValueError(f"snapshot hyper is malformed: {exc}") from None
 
 
-def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociations]:
+def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
-    documents raise ValueError. No rule of ``Network`` or of the count tables'
-    constructors is restated here: the loader checks the document's format,
-    and with ``Network.has_neuron`` that every table id names its neurons."""
+    documents raise ValueError. No rule of ``Network`` or of the label table's
+    constructor is restated here: the loader checks the document's format,
+    and with ``Network.has_neuron`` that every label row names a neuron."""
     doc = json.loads(text, object_hook=_Doc)
     if not isinstance(doc, dict):
         raise ValueError("snapshot is not a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported snapshot schema version {version!r}")
+    unknown = sorted(doc.keys() - _KEYS)
+    if unknown:
+        raise ValueError(f"snapshot has unknown keys {unknown}")
     hyper = _hyper(doc["hyper"])
     dim = _count(doc["dim"], "dim")
 
@@ -141,6 +146,9 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     for expected, entry in enumerate(neurons):
         if not isinstance(entry, dict):
             raise ValueError(f"snapshot neuron {expected} is not a JSON object")
+        unknown = entry.keys() - _NEURON_KEYS
+        if unknown:
+            raise ValueError(f"snapshot neuron {expected} has unknown keys {sorted(unknown)}")
         if type(entry["id"]) is not int or entry["id"] != expected:
             raise ValueError(f"non-dense neuron ids: expected {expected}, got {entry['id']}")
     # every row of dim floats is checked before Network allocates from dim,
@@ -154,7 +162,10 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     units = np.concatenate([weights[:, None], contexts], axis=1)
     # the network states its own rules; the checks above are of the format
     try:
-        network = Network(hyper, doc["mode"], units, habs, _count(doc["rng_seed"], "rng_seed"))
+        network = Network(
+            hyper, doc["mode"], units, habs, _count(doc["rng_seed"], "rng_seed"),
+            transitions=_rows(doc["transitions"], 3, "transitions"),
+        )
         network.prev_bmu = doc["prev_bmu"]
         network.step_count = _count(doc["step_count"], "step_count")
         network.global_context = global_context
@@ -166,8 +177,7 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     except KeyError as exc:  # connect's id rule, Network.has_neuron
         raise ValueError(f"snapshot edges name a neuron that does not exist ({exc.args[0]})") from None
 
-    synapses = TemporalSynapses(_rows(doc["transitions"], 3, "transitions", network, 2))
-    label_rows = _rows(doc["label_counts"], 3, "label_counts", network, 1)
+    label_rows = _rows(doc["label_counts"], 3, "label_counts", network)
     try:
         label_counts = LabelAssociations(label_rows, doc["replay_label_records"])
     except TypeError:
@@ -175,4 +185,4 @@ def load_snapshot(text: str) -> tuple[Network, TemporalSynapses, LabelAssociatio
     total = _count(doc["total_label_records"], "total_label_records")
     if total != label_counts.total_records:
         raise ValueError(f"snapshot total_label_records {total} is not the label count sum")
-    return network, synapses, label_counts
+    return network, label_counts

@@ -36,7 +36,7 @@ from gwrnet.model import (
     init_static,
 )
 from gwrnet.protocols import ProtocolSpec, incremental_plan, run_protocol
-from gwrnet.replay import TemporalSynapses, generate_rnat
+from gwrnet.replay import generate_rnat
 from gwrnet.snapshot import load_snapshot, save_snapshot
 
 REL = 1e-12
@@ -166,7 +166,6 @@ def gating_audit():
             net = init_static(train.dim, hyper, low, high, run_index)
         else:
             net = init_growing(train.dim, hyper, (first[0], first[1]))
-        synapses = TemporalSynapses()
         labels = LabelAssociations()
         for batch in minibatches:
             for seq in batch:
@@ -174,7 +173,7 @@ def gating_audit():
                 for t in range(len(seq)):
                     probe = copy.deepcopy(net)
                     before = net._units[: net.num_neurons].copy()
-                    out = net.step(seq.features[t], seq.instance, synapses, labels)
+                    out = net.step(seq.features[t], seq.instance, labels)
                     steps += 1
                     if net.num_neurons > n_max:
                         capacity_violations += 1
@@ -321,15 +320,14 @@ def test_criterion_2_oracle_equivalence():
         for unit in units:
             unit[0] = rng.normal(size=3)
             unit[1:] = rng.normal(size=(k, 3))
-        net = Network(hyper, GROWING, units)
-        synapses = TemporalSynapses()
         pairs = {}
         for _ in range(int(rng.integers(0, 60))):
             i, j = (int(v) for v in rng.integers(0, n, size=2))
-            synapses.record(i, j)
             pairs[(i, j)] = pairs.get((i, j), 0) + 1
+        rows = [(i, j, count) for (i, j), count in pairs.items()]
+        net = Network(hyper, GROWING, units, transitions=rows)
         source = int(rng.integers(0, n))
-        rnat = generate_rnat(net, synapses, source)
+        rnat = generate_rnat(net, source)
         if rnat.ids == _oracle_walk(pairs, range(n), source, k + 1):
             rnat_ok += 1
     elapsed = time.perf_counter() - start
@@ -519,26 +517,23 @@ def test_criterion_10_snapshot_round_trip():
     stream = rng.normal(size=(140, 4)) * 2
     hyper = HyperParams(n_max=15)
     net = init_growing(4, hyper, (stream[0], stream[1]))
-    synapses = TemporalSynapses()
     labels = LabelAssociations()
 
-    def drive(network, syn, lab, frames, offset):
+    def drive(network, lab, frames, offset):
         for i, x in enumerate(frames, start=offset):
             if i % 11 == 0:
                 network.reset_context()
-            network.step(x, f"obj{i % 4}", syn, lab)
+            network.step(x, f"obj{i % 4}", lab)
 
-    drive(net, synapses, labels, stream[:70], 0)
-    mid = save_snapshot(net, synapses, labels)
+    drive(net, labels, stream[:70], 0)
+    mid = save_snapshot(net, labels)
     reloaded = load_snapshot(mid)
     round_trip_ok = save_snapshot(*reloaded) == mid
 
-    net2, syn2, lab2 = reloaded
-    drive(net, synapses, labels, stream[70:], 70)
-    drive(net2, syn2, lab2, stream[70:], 70)
-    continuation_ok = save_snapshot(net2, syn2, lab2) == save_snapshot(
-        net, synapses, labels
-    )
+    net2, lab2 = reloaded
+    drive(net, labels, stream[70:], 70)
+    drive(net2, lab2, stream[70:], 70)
+    continuation_ok = save_snapshot(net2, lab2) == save_snapshot(net, labels)
     ok = round_trip_ok and continuation_ok
     report(
         "criterion 10 (snapshot round trip + continuation)",

@@ -605,7 +605,8 @@ def _set(path, value):
         (_set(["hyper", "kappa"], "fast"), "hyper"),
         (lambda doc: doc["edges"].append([0, 999]), "edges name a neuron"),
         (lambda doc: doc["edges"].append([1, 1]), "self-edge"),
-        (lambda doc: doc["transitions"].append([0, 999, 1]), "transitions name a neuron"),
+        (lambda doc: doc["transitions"].append([0, 999, 1]),
+         r"transition \(0, 999, 1\) names a neuron that does not exist"),
         (lambda doc: doc["label_counts"].append([999, "x", 1]), "label_counts name a neuron"),
         (_set(["neurons", 1, "habituation"], 7.5), r"\[0, 1\]"),
         (_set(["neurons", 1, "weight", 0], float("nan")), "non-finite"),
@@ -630,14 +631,19 @@ def _set(path, value):
         (lambda doc: doc["transitions"].append(doc["transitions"][0]), "listed twice"),
         (lambda doc: doc["label_counts"].append(doc["label_counts"][0]), "listed twice"),
         (_over_capacity, "3 neurons exceed n_max 2"),
-        (_set(["transitions", 0, 2], 0), "has count 0, below 1"),
+        (_set(["transitions", 0, 2], 0), r"\d+, 0\) needs an int count of at least 1"),
         (_set(["label_counts", 0, 2], 0), "has count 0, below 1"),
         (lambda doc: doc.update(transitions=[[False, True, 2]]),
-         r"transitions name a neuron that does not exist: \[False, True, 2\]"),
-        (lambda doc: doc.update(transitions=[[0, 1, True]]), r"transition \(0, 1, True\) needs int"),
+         r"transition \(False, True, 2\) names a neuron that does not exist"),
+        (lambda doc: doc.update(transitions=[[0, 1, True]]),
+         r"transition \(0, 1, True\) needs an int count"),
         (lambda doc: doc["edges"].append([0, True]),
          r"edges name a neuron that does not exist \(no neuron with id True\)"),
         (_set(["neurons", 1, "id"], True), "non-dense neuron ids: expected 1, got True"),
+        (_set(["schema_version"], True), "unsupported snapshot schema version True"),
+        (_set(["schema_version"], 1.0), "unsupported snapshot schema version 1.0"),
+        (_set(["comment"], "x"), r"snapshot has unknown keys \['comment'\]"),
+        (_set(["neurons", 1, "label"], "x"), r"snapshot neuron 1 has unknown keys \['label'\]"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -650,6 +656,8 @@ def _set(path, value):
         "replay-records-above-total", "repeated-transition-row", "repeated-label-row",
         "more-neurons-than-n-max", "zero-transition-count", "zero-label-count",
         "bool-transition-ids", "bool-transition-count", "bool-edge-id", "bool-neuron-id",
+        "bool-schema-version", "float-schema-version", "unknown-top-level-key",
+        "unknown-neuron-key",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gwrnet.labeling import LabelAssociations, classify_sample
 from gwrnet.model import GROWING, HyperParams, Network, init_growing
-from gwrnet.replay import TemporalSynapses
 
 
 def labeled_net():
@@ -193,14 +192,13 @@ def test_training_presentation_conservation():
     rng = np.random.default_rng(1)
     hyper = HyperParams(num_contexts=1, alpha=(0.8, 0.2), n_max=15)
     net = init_growing(2, hyper, (rng.normal(size=2), rng.normal(size=2)))
-    synapses = TemporalSynapses()
     counts = LabelAssociations()
     presented = 0
     for s in range(8):
         net.reset_context()
         base = rng.normal(size=2) * 3
         for _ in range(12):
-            net.step(base + 0.2 * rng.normal(size=2), f"obj{s % 4}", synapses, counts)
+            net.step(base + 0.2 * rng.normal(size=2), f"obj{s % 4}", counts)
             presented += 1
     # every labeled presentation lands in exactly one histogram cell
     assert sum(count for _, _, count in counts.items()) == presented

@@ -25,7 +25,6 @@ from gwrnet.model import (
     init_growing,
     init_static,
 )
-from gwrnet.replay import TemporalSynapses
 
 K0 = HyperParams(num_contexts=0, alpha=(1.0,), n_max=50)
 
@@ -703,20 +702,20 @@ def test_connect_creates_idempotently_and_rejects_self_edges():
 def test_first_step_of_sequence_uses_zero_context_and_records_nothing():
     hyper = HyperParams(n_max=10)
     net = init_growing(2, hyper, (np.zeros(2), np.ones(2)))
-    synapses = TemporalSynapses()
-    out = net.step(np.array([1.0, 0.0]), "a", synapses, LabelAssociations())
+    out = net.step(np.array([1.0, 0.0]), "a", LabelAssociations())
     # with zero context the distance is exactly the alpha_0 input term
     assert out.distance == pytest.approx(0.67, rel=1e-12)
-    assert synapses.total() == 0
+    assert net.transitions == []
 
 
 def test_step_records_transition_between_consecutive_winners():
     net = two_neuron_net()
-    synapses = TemporalSynapses()
-    net.step(np.array([0.1, 0.0]), None, synapses)
-    net.step(np.array([5.0, 5.1]), None, synapses)
-    assert synapses.count(0, 1) == 1
-    assert synapses.total() == 1
+    net.step(np.array([0.1, 0.0]))
+    net.step(np.array([5.0, 5.1]))
+    assert net.transitions == [(0, 1, 1)]
+    # a replayed step after a winner records nothing
+    net.replay_step(np.array([0.1, 0.0]))
+    assert net.transitions == [(0, 1, 1)]
 
 
 def test_step_insertion_path():
@@ -724,7 +723,7 @@ def test_step_insertion_path():
     net = init_growing(2, hyper, (np.zeros(2), np.array([10.0, 10.0])))
     net._hab[0] = 0.05
     labels = LabelAssociations()
-    out = net.step(np.array([4.0, 0.0]), "far", None, labels)
+    out = net.step(np.array([4.0, 0.0]), "far", labels)
     assert out.inserted == 2
     # inserting replaces adaptation: the winner keeps its weight
     assert np.array_equal(net.unit_table()[0][0, 0], [0.0, 0.0])

@@ -73,6 +73,9 @@ def test_spec_batch_requires_epochs():
 def test_spec_incremental_rejects_multi_epoch():
     with pytest.raises(ValueError, match="one iteration"):
         tiny_spec(epochs=3)
+    # 1 trained exactly as 0 does, yet `compare` told the two runs apart
+    with pytest.raises(ValueError, match="one iteration per mini-batch: epochs must be 0"):
+        tiny_spec(epochs=1)
 
 
 def test_spec_rejects_bad_fields():
@@ -167,7 +170,7 @@ def _trained(num_contexts=2):
     for seq in train.sequences:
         net.reset_context()
         for x in seq.features:
-            net.step(x, seq.instance, None, counts)
+            net.step(x, seq.instance, counts)
     return net, counts, test
 
 
@@ -309,11 +312,11 @@ def test_incremental_single_pass_over_training_frames():
     train, _ = split_by_sessions(dataset, TEST_SESSIONS)
     spec = tiny_spec(trials=1)
     result = run_protocol(spec, dataset, with_snapshots=True)
-    net, synapses, _ = load_snapshot(result.snapshots[0])
+    net, _ = load_snapshot(result.snapshots[0])
     assert net.step_count == train.num_frames
     # transitions: one per non-boundary step
     boundaries = len(train.sequences)
-    assert synapses.total() == train.num_frames - boundaries
+    assert sum(count for _, _, count in net.transitions) == train.num_frames - boundaries
 
 
 def test_incremental_growing_neuron_count_is_monotone():
@@ -547,10 +550,10 @@ def test_screened_matching_matches_full_scan_end_to_end(tmp_path, monkeypatch, f
     write_features(tiny_dataset(), data)
     trained = []
 
-    def checked_save(network, synapses, label_counts):
+    def checked_save(network, label_counts):
         network.check_invariants()
         trained.append(network)
-        return save(network, synapses, label_counts)
+        return save(network, label_counts)
 
     save = protocols.save_snapshot
     monkeypatch.setattr(protocols, "save_snapshot", checked_save)

@@ -1,14 +1,16 @@
 """Transition counting and trajectory replay."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import GROWING, HyperParams, Network, init_growing
-from gwrnet.replay import TemporalSynapses, generate_rnat, replay_episode
+from gwrnet.replay import generate_rnat, replay_episode
 
 
-def make_net(num_neurons, dim=2, num_contexts=0, seed=0):
+def make_net(num_neurons, dim=2, num_contexts=0, seed=0, transitions=()):
     alpha = tuple([1.0] + [0.1] * num_contexts)
     hyper = HyperParams(num_contexts=num_contexts, alpha=alpha, n_max=max(num_neurons, 2))
     rng = np.random.default_rng(seed)
@@ -16,17 +18,23 @@ def make_net(num_neurons, dim=2, num_contexts=0, seed=0):
     for unit in units:
         unit[0] = rng.normal(size=dim)
         unit[1:] = rng.normal(size=(num_contexts, dim))
-    return Network(hyper, GROWING, units)
+    return Network(hyper, GROWING, units, transitions=transitions)
 
 
-def brute_force_walk(synapses, neuron_ids, source, hops):
-    """Independent predecessor-argmax walk over the raw count pairs."""
-    pairs = {(i, j): c for i, j, c in synapses.items()}
+def random_rows(rng, n, draws):
+    """Transition rows tallying ``draws`` random (prev, curr) pairs over n ids."""
+    counts = Counter(tuple(int(i) for i in rng.integers(0, n, size=2)) for _ in range(draws))
+    return [(i, j, c) for (i, j), c in counts.items()]
+
+
+def brute_force_walk(network, source, hops):
+    """Independent predecessor-argmax walk over the raw count rows."""
+    pairs = {(i, j): c for i, j, c in network.transitions}
     ids = [source]
     for _ in range(hops):
         tail = ids[-1]
         best, best_count = None, 0
-        for n in sorted(neuron_ids):
+        for n in sorted(network.neuron_ids):
             if n == tail:
                 continue
             c = pairs.get((n, tail), 0)
@@ -41,144 +49,144 @@ def brute_force_walk(synapses, neuron_ids, source, hops):
 # -- transition recording --------------------------------------------------------
 
 
+def two_unit_net():
+    """Neurons at (0, 0) and (5, 5) without context: a frame equal to a
+    weight row wins, moves nothing and inserts nothing."""
+    units = np.zeros((2, 1, 2))
+    units[1, 0] = 5.0
+    return Network(HyperParams(num_contexts=0, alpha=(1.0,), n_max=2), GROWING, units)
+
+
+def step_winners(net, winners):
+    for winner in winners:
+        assert net.step(net.unit_table()[0][winner, 0].copy()).bmu_id == winner
+
+
 def test_record_increments_by_one():
-    p = TemporalSynapses()
-    assert p.count(1, 2) == 0
-    p.record(1, 2)
-    assert p.count(1, 2) == 1
+    net = two_unit_net()
+    step_winners(net, [0])
+    assert net.predecessor_counts(1) == {} and net.transitions == []
+    step_winners(net, [1])
+    assert net.predecessor_counts(1) == {0: 1}
 
 
 def test_record_is_additive():
-    p = TemporalSynapses()
-    p.record(1, 2)
-    p.record(1, 2)
-    assert p.count(1, 2) == 2
-    assert p.total() == 2
+    net = two_unit_net()
+    step_winners(net, [0, 1, 0, 1])
+    assert net.transitions == [(1, 0, 1), (0, 1, 2)]
+    assert sum(count for _, _, count in net.transitions) == 3
+
+
+def test_record_is_directed():
+    net = two_unit_net()
+    step_winners(net, [0, 1])
+    assert net.predecessor_counts(0) == {}
+
+
+def test_self_transitions_are_counted():
+    net = two_unit_net()
+    step_winners(net, [0, 0])
+    assert net.transitions == [(0, 0, 1)]
+
+
+def test_predecessor_counts_are_a_copy_and_check_the_id():
+    net = make_net(3, transitions=[(0, 1, 2)])
+    net.predecessor_counts(1)[2] = 9
+    assert net.transitions == [(0, 1, 2)]
+    for bad in (3, -1, True, 1.0):
+        with pytest.raises(KeyError, match=f"no neuron with id {bad!r}"):
+            net.predecessor_counts(bad)
+
+
+def test_restored_transitions_are_listed_by_target_then_source():
+    net = make_net(3, transitions=[(2, 1, 3), (0, 1, 5), (1, 0, 1), (2, 2, 4)])
+    assert net.transitions == [(1, 0, 1), (0, 1, 5), (2, 1, 3), (2, 2, 4)]
 
 
 def test_restored_transition_given_twice_is_rejected():
     with pytest.raises(ValueError, match=r"transition \(0, 1\) is listed twice"):
-        TemporalSynapses([(0, 1, 1), (0, 1, 5)])
+        make_net(3, transitions=[(0, 1, 1), (0, 1, 5)])
 
 
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ([(0, 1, 0)], r"transition \(0, 1\) has count 0, below 1"),
-        ([(0, 1, -3)], r"transition \(0, 1\) has count -3, below 1"),
-        ([(0, 1, 1.5)], r"transition \(0, 1, 1.5\) needs int ids >= 0 and an int count"),
-        ([(0, 1, True)], r"transition \(0, 1, True\) needs int ids >= 0 and an int count"),
-        ([(-1, 1, 1)], r"transition \(-1, 1, 1\) needs int ids >= 0 and an int count"),
-        ([(0, 1.0, 1)], r"transition \(0, 1.0, 1\) needs int ids >= 0 and an int count"),
+        ([(0, 1, 0)], r"transition \(0, 1, 0\) needs an int count of at least 1"),
+        ([(0, 1, -3)], r"transition \(0, 1, -3\) needs an int count of at least 1"),
+        ([(0, 1, 1.5)], r"transition \(0, 1, 1.5\) needs an int count of at least 1"),
+        ([(0, 1, True)], r"transition \(0, 1, True\) needs an int count of at least 1"),
+        ([(-1, 1, 1)], r"transition \(-1, 1, 1\) names a neuron that does not exist"),
+        ([(0, 1.0, 1)], r"transition \(0, 1.0, 1\) names a neuron that does not exist"),
+        ([(False, 1, 1)], r"transition \(False, 1, 1\) names a neuron that does not exist"),
     ],
-    ids=["0", "-3", "float-count", "bool-count", "negative-id", "float-id"],
+    ids=["0", "-3", "float-count", "bool-count", "negative-id", "float-id", "bool-id"],
 )
 def test_restored_transition_count_below_one_is_rejected(rows, message):
-    """The table states its own rules, so a library caller cannot build one
+    """The network states the row rules, so a library caller cannot build one
     that saves but does not load."""
     with pytest.raises(ValueError, match=message):
-        TemporalSynapses(rows)
+        make_net(3, transitions=rows)
 
 
-def test_record_is_directed():
-    p = TemporalSynapses()
-    p.record(1, 2)
-    assert p.count(2, 1) == 0
-
-
-def test_self_transitions_are_counted():
-    p = TemporalSynapses()
-    p.record(4, 4)
-    assert p.count(4, 4) == 1
+def test_rnat_rejects_a_predecessor_the_network_lacks():
+    """A chain through a neuron the network does not have cannot be built:
+    the constructor rejects the transition naming it."""
+    with pytest.raises(ValueError, match=r"transition \(7, 1, 1\) names a neuron"):
+        make_net(3, transitions=[(7, 1, 1)])
 
 
 # -- trajectory generation ---------------------------------------------------------
 
 
 def test_rnat_picks_most_frequent_predecessor():
-    net = make_net(3)
-    p = TemporalSynapses()
-    for _ in range(5):
-        p.record(0, 1)
-    for _ in range(3):
-        p.record(2, 1)
-    rnat = generate_rnat(net, p, 1)
+    net = make_net(3, transitions=[(0, 1, 5), (2, 1, 3)])
+    rnat = generate_rnat(net, 1)
     assert rnat.ids == [1, 0]
 
 
 def test_rnat_truncates_without_evidence():
     net = make_net(3)
-    rnat = generate_rnat(net, TemporalSynapses(), 1)
+    rnat = generate_rnat(net, 1)
     assert rnat.ids == [1]
 
 
 def test_rnat_follows_chain_to_full_depth():
-    net = make_net(4, num_contexts=2)
-    p = TemporalSynapses()
-    for _ in range(9):
-        p.record(3, 2)
-        p.record(2, 1)
-        p.record(1, 0)
-    rnat = generate_rnat(net, p, 0)
+    net = make_net(4, num_contexts=2, transitions=[(3, 2, 9), (2, 1, 9), (1, 0, 9)])
+    rnat = generate_rnat(net, 0)
     assert rnat.ids == [0, 1, 2, 3]
 
 
 def test_rnat_breaks_ties_by_smallest_id():
-    net = make_net(4)
-    p = TemporalSynapses()
-    p.record(3, 1)
-    p.record(2, 1)
-    rnat = generate_rnat(net, p, 1)
+    net = make_net(4, transitions=[(3, 1, 1), (2, 1, 1)])
+    rnat = generate_rnat(net, 1)
     assert rnat.ids == [1, 2]
 
 
 def test_rnat_skips_immediate_predecessor_self_loop():
-    net = make_net(3)
-    p = TemporalSynapses()
-    for _ in range(100):
-        p.record(1, 1)
-    p.record(0, 1)
-    rnat = generate_rnat(net, p, 1)
+    net = make_net(3, transitions=[(1, 1, 100), (0, 1, 1)])
+    rnat = generate_rnat(net, 1)
     assert rnat.ids == [1, 0]
 
 
 def test_rnat_unknown_source():
     net = make_net(2)
     with pytest.raises(KeyError):
-        generate_rnat(net, TemporalSynapses(), 5)
-
-
-def test_rnat_rejects_a_predecessor_the_network_lacks():
-    """A transition table naming a neuron the network does not have fails
-    while the trajectory is built, not mid-episode."""
-    net = make_net(3)
-    p = TemporalSynapses()
-    p.record(7, 1)
-    with pytest.raises(KeyError, match="no neuron with id 7"):
-        generate_rnat(net, p, 1)
+        generate_rnat(net, 5)
 
 
 def test_rnat_is_pure():
-    net = make_net(5, num_contexts=1, seed=3)
-    p = TemporalSynapses()
-    rng = np.random.default_rng(2)
-    for _ in range(60):
-        i, j = rng.integers(0, 5, size=2)
-        p.record(int(i), int(j))
-    first = generate_rnat(net, p, 2)
-    second = generate_rnat(net, p, 2)
+    rows = random_rows(np.random.default_rng(2), 5, 60)
+    net = make_net(5, num_contexts=1, seed=3, transitions=rows)
+    first = generate_rnat(net, 2)
+    second = generate_rnat(net, 2)
     assert first.ids == second.ids
 
 
 def test_rnat_matches_brute_force_on_hand_built_chain():
-    net = make_net(4, num_contexts=2)
-    p = TemporalSynapses()
-    for count, (i, j) in [(4, (0, 1)), (2, (1, 2)), (7, (2, 3)), (1, (3, 0))]:
-        for _ in range(count):
-            p.record(i, j)
+    net = make_net(4, num_contexts=2, transitions=[(0, 1, 4), (1, 2, 2), (2, 3, 7), (3, 0, 1)])
     for source in range(4):
-        rnat = generate_rnat(net, p, source)
-        assert rnat.ids == brute_force_walk(p, range(4), source, hops=3)
+        rnat = generate_rnat(net, source)
+        assert rnat.ids == brute_force_walk(net, source, hops=3)
 
 
 def test_rnat_matches_brute_force_randomized():
@@ -186,14 +194,12 @@ def test_rnat_matches_brute_force_randomized():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         k = int(rng.integers(0, 3))
-        net = make_net(n, num_contexts=k, seed=int(rng.integers(1 << 30)))
-        p = TemporalSynapses()
-        for _ in range(int(rng.integers(0, 40))):
-            i, j = rng.integers(0, n, size=2)
-            p.record(int(i), int(j))
+        seed = int(rng.integers(1 << 30))
+        rows = random_rows(rng, n, int(rng.integers(0, 40)))
+        net = make_net(n, num_contexts=k, seed=seed, transitions=rows)
         source = int(rng.integers(0, n))
-        rnat = generate_rnat(net, p, source)
-        assert rnat.ids == brute_force_walk(p, range(n), source, hops=k + 1)
+        rnat = generate_rnat(net, source)
+        assert rnat.ids == brute_force_walk(net, source, hops=k + 1)
 
 
 # -- replay episodes -----------------------------------------------------------------
@@ -203,52 +209,52 @@ def trained_toy_setup(seed=0):
     rng = np.random.default_rng(seed)
     hyper = HyperParams(num_contexts=1, alpha=(0.8, 0.2), n_max=10)
     net = init_growing(2, hyper, (rng.normal(size=2), rng.normal(size=2)))
-    synapses = TemporalSynapses()
     labels = LabelAssociations()
     for s in range(6):
         net.reset_context()
         base = rng.normal(size=2) * 2
         for _ in range(10):
-            net.step(base + 0.1 * rng.normal(size=2), f"obj{s % 3}", synapses, labels)
+            net.step(base + 0.1 * rng.normal(size=2), f"obj{s % 3}", labels)
     net.reset_context()
-    return net, synapses, labels
+    return net, labels
 
 
 def test_replay_generates_one_trajectory_per_neuron():
-    net, synapses, labels = trained_toy_setup()
-    report = replay_episode(net, synapses, labels)
+    net, labels = trained_toy_setup()
+    report = replay_episode(net, labels)
     assert report.trajectories == net.num_neurons
 
 
 def test_replay_on_empty_transitions_applies_no_steps():
-    net, _, labels = trained_toy_setup()
-    report = replay_episode(net, TemporalSynapses(), labels)
+    trained, labels = trained_toy_setup()
+    net = Network(trained.hyper, trained.mode, *trained.unit_table())
+    report = replay_episode(net, labels)
     assert report.steps_applied == 0
 
 
 def test_replay_never_changes_neuron_count():
-    net, synapses, labels = trained_toy_setup()
+    net, labels = trained_toy_setup()
     before = net.num_neurons
-    replay_episode(net, synapses, labels)
+    replay_episode(net, labels)
     assert net.num_neurons == before
 
 
 def test_replay_leaves_transition_counts_unchanged():
-    net, synapses, labels = trained_toy_setup()
-    before = list(synapses.items())
-    replay_episode(net, synapses, labels)
-    assert list(synapses.items()) == before
+    net, labels = trained_toy_setup()
+    before = net.transitions
+    replay_episode(net, labels)
+    assert net.transitions == before
 
 
 def test_replay_resets_context_around_trajectories():
-    net, synapses, labels = trained_toy_setup()
-    replay_episode(net, synapses, labels)
+    net, labels = trained_toy_setup()
+    replay_episode(net, labels)
     assert net.prev_bmu is None
     assert np.all(net.global_context == 0.0)
 
 
 def test_replay_only_wires_visited_neurons():
-    net, synapses, labels = trained_toy_setup(seed=4)
+    net, labels = trained_toy_setup(seed=4)
     before = set(net.edges)
     visited = set()
     original_step = net.replay_step
@@ -260,15 +266,15 @@ def test_replay_only_wires_visited_neurons():
         return out
 
     net.replay_step = spy
-    replay_episode(net, synapses, labels)
+    replay_episode(net, labels)
     for edge in set(net.edges) - before:
         assert set(edge) <= visited
 
 
 def test_replay_label_records_are_tallied_separately():
-    net, synapses, labels = trained_toy_setup()
+    net, labels = trained_toy_setup()
     training_records = labels.total_records
-    report = replay_episode(net, synapses, labels)
+    report = replay_episode(net, labels)
     assert labels.replay_records <= report.steps_applied
     assert labels.total_records - labels.replay_records == training_records
 
@@ -279,10 +285,10 @@ def test_replay_presents_the_frozen_table_and_readout():
     generate_rnat chains oldest element first. On this seed some neuron is
     adapted before its own element is replayed, so an episode that read the
     live table would present other weights."""
-    net, synapses, labels = trained_toy_setup(seed=1)
+    net, labels = trained_toy_setup(seed=1)
     units = net.unit_table()[0].copy()
     readout = [labels.predict(i) for i in net.neuron_ids]
-    chains = [generate_rnat(net, synapses, i).ids for i in net.neuron_ids]
+    chains = [generate_rnat(net, i).ids for i in net.neuron_ids]
     order = [i for ids in chains if len(ids) >= 2 for i in reversed(ids)]
     presented, moved = [], []
     original_step = net.replay_step
@@ -295,7 +301,7 @@ def test_replay_presents_the_frozen_table_and_readout():
         return original_step(x, label, label_counts)
 
     net.replay_step = spy
-    replay_episode(net, synapses, labels)
+    replay_episode(net, labels)
     assert len(presented) == len(order)
     for (x, label), i in zip(presented, order):
         assert np.array_equal(x, units[i, 0]) and label == readout[i]

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import HyperParams, init_growing, init_static
-from gwrnet.replay import TemporalSynapses, replay_episode
+from gwrnet.replay import replay_episode
 from gwrnet.snapshot import load_snapshot, save_snapshot
 
 
-def train_some(net, synapses, labels, stream, boundary=13):
+def train_some(net, labels, stream, boundary=13):
     for i, x in enumerate(stream):
         if i % boundary == 0:
             net.reset_context()
-        net.step(x, f"obj{i % 3}", synapses, labels)
+        net.step(x, f"obj{i % 3}", labels)
 
 
 def fresh_setup(seed=0, static=False):
@@ -28,22 +28,22 @@ def fresh_setup(seed=0, static=False):
         net = init_static(3, hyper, -1.0, 1.0, seed)
     else:
         net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
-    return net, TemporalSynapses(), LabelAssociations(), rng
+    return net, LabelAssociations(), rng
 
 
 def test_round_trip_bytes_are_identical():
-    net, synapses, labels, rng = fresh_setup(1)
-    train_some(net, synapses, labels, rng.normal(size=(120, 3)) * 2)
-    replay_episode(net, synapses, labels)
-    text = save_snapshot(net, synapses, labels)
+    net, labels, rng = fresh_setup(1)
+    train_some(net, labels, rng.normal(size=(120, 3)) * 2)
+    replay_episode(net, labels)
+    text = save_snapshot(net, labels)
     loaded = load_snapshot(text)
     assert save_snapshot(*loaded) == text
 
 
 def test_round_trip_restores_state_exactly():
-    net, synapses, labels, rng = fresh_setup(2)
-    train_some(net, synapses, labels, rng.normal(size=(90, 3)) * 2)
-    net2, synapses2, labels2 = load_snapshot(save_snapshot(net, synapses, labels))
+    net, labels, rng = fresh_setup(2)
+    train_some(net, labels, rng.normal(size=(90, 3)) * 2)
+    net2, labels2 = load_snapshot(save_snapshot(net, labels))
     assert net2.num_neurons == net.num_neurons
     assert net2.mode == net.mode
     assert net2.step_count == net.step_count
@@ -52,8 +52,7 @@ def test_round_trip_restores_state_exactly():
     assert np.array_equal(net2._hab[: net2.num_neurons], net._hab[: net.num_neurons])
     assert np.array_equal(net2.global_context, net.global_context)
     assert net2.edges == net.edges
-    assert list(synapses2.items()) == list(synapses.items())
-    assert synapses2.total() == synapses.total()
+    assert net2.transitions == net.transitions
     for neuron_id in net.neuron_ids:
         assert labels2.row(neuron_id) == labels.row(neuron_id)
     assert labels2.total_records == labels.total_records
@@ -65,38 +64,38 @@ def test_loaded_network_continues_identically(static):
     rng = np.random.default_rng(5)
     stream = rng.normal(size=(160, 3)) * 2
 
-    net_a, syn_a, lab_a, _ = fresh_setup(7, static=static)
-    train_some(net_a, syn_a, lab_a, stream[:80])
-    mid = save_snapshot(net_a, syn_a, lab_a)
+    net_a, lab_a, _ = fresh_setup(7, static=static)
+    train_some(net_a, lab_a, stream[:80])
+    mid = save_snapshot(net_a, lab_a)
     # note: 80 is mid-sequence for boundary 13, so the context stack and the
     # previous winner must survive the round trip for this to agree
-    net_b, syn_b, lab_b = load_snapshot(mid)
+    net_b, lab_b = load_snapshot(mid)
     for i, x in enumerate(stream[80:], start=80):
         if i % 13 == 0:
             net_a.reset_context()
             net_b.reset_context()
-        net_a.step(x, f"obj{i % 3}", syn_a, lab_a)
-        net_b.step(x, f"obj{i % 3}", syn_b, lab_b)
-    assert save_snapshot(net_a, syn_a, lab_a) == save_snapshot(net_b, syn_b, lab_b)
+        net_a.step(x, f"obj{i % 3}", lab_a)
+        net_b.step(x, f"obj{i % 3}", lab_b)
+    assert save_snapshot(net_a, lab_a) == save_snapshot(net_b, lab_b)
 
 
 def test_prediction_ties_survive_round_trip():
-    net, synapses, labels, _ = fresh_setup(3)
+    net, labels, _ = fresh_setup(3)
     labels.record(0, "b")
     labels.record(0, "a")
     labels.record(0, "a")
     labels.record(0, "b")  # tie a=2 b=2, first seen is "b"
     assert labels.predict(0) == "b"
-    _, _, labels2 = load_snapshot(save_snapshot(net, synapses, labels))
+    _, labels2 = load_snapshot(save_snapshot(net, labels))
     assert labels2.predict(0) == "b"
 
 
 def test_tuple_labels_survive_round_trip():
-    net, synapses, labels, _ = fresh_setup(3)
+    net, labels, _ = fresh_setup(3)
     labels.record(0, ("cup", 2))
     labels.record(1, ("cup", ("red", 1)))
-    text = save_snapshot(net, synapses, labels)
-    _, _, labels2 = load_snapshot(text)
+    text = save_snapshot(net, labels)
+    _, labels2 = load_snapshot(text)
     assert labels2.predict(0) == ("cup", 2)
     assert labels2.predict(1) == ("cup", ("red", 1))
     assert save_snapshot(*load_snapshot(text)) == text
@@ -106,9 +105,9 @@ def test_round_trip_without_contexts():
     rng = np.random.default_rng(6)
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=12)
     net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
-    synapses, labels = TemporalSynapses(), LabelAssociations()
-    train_some(net, synapses, labels, rng.normal(size=(60, 3)) * 2)
-    text = save_snapshot(net, synapses, labels)
+    labels = LabelAssociations()
+    train_some(net, labels, rng.normal(size=(60, 3)) * 2)
+    text = save_snapshot(net, labels)
     loaded = load_snapshot(text)
     loaded[0].check_invariants()
     assert save_snapshot(*loaded) == text
@@ -116,8 +115,8 @@ def test_round_trip_without_contexts():
 
 @pytest.mark.parametrize("key", ["hyper", "neurons", "weight"])
 def test_missing_key_is_named(key):
-    net, synapses, labels, _ = fresh_setup(4)
-    text = save_snapshot(net, synapses, labels)
+    net, labels, _ = fresh_setup(4)
+    text = save_snapshot(net, labels)
     doc = json.loads(text)
     if key == "weight":
         del doc["neurons"][1][key]
@@ -128,20 +127,23 @@ def test_missing_key_is_named(key):
 
 
 def test_unsupported_schema_version_rejected():
-    net, synapses, labels, _ = fresh_setup(4)
-    text = save_snapshot(net, synapses, labels)
-    broken = text.replace('"schema_version":1', '"schema_version":99', 1)
-    with pytest.raises(ValueError, match="schema version"):
-        load_snapshot(broken)
+    """Only the int 1 is schema 1: a bool or a float equal to 1 would load
+    and then re-save as a different document."""
+    net, labels, _ = fresh_setup(4)
+    text = save_snapshot(net, labels)
+    for version in (99, True, 1.0, "1", None):
+        broken = text.replace('"schema_version":1', f'"schema_version":{json.dumps(version)}', 1)
+        with pytest.raises(ValueError, match=f"unsupported snapshot schema version {version!r}"):
+            load_snapshot(broken)
 
 
 def test_loading_allocates_for_the_neurons_not_the_declared_capacity():
     hyper = HyperParams(n_max=1_000_000)
     net = init_growing(16, hyper, (np.zeros(16), np.ones(16)))
-    text = save_snapshot(net, TemporalSynapses(), LabelAssociations())
+    text = save_snapshot(net, LabelAssociations())
     tracemalloc.start()
     try:
-        loaded, _, _ = load_snapshot(text)
+        loaded, _ = load_snapshot(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -159,7 +161,7 @@ def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
     sized from it; with no neurons and no contexts nothing confirms it."""
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=12)
     net = init_growing(3, hyper, (np.zeros(3), np.ones(3)))
-    doc = json.loads(save_snapshot(net, TemporalSynapses(), LabelAssociations()))
+    doc = json.loads(save_snapshot(net, LabelAssociations()))
     doc["dim"] = 10**8
     if not rows:
         doc.update(neurons=[], edges=[], prev_bmu=None)
@@ -175,10 +177,10 @@ def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
 
 
 def test_more_neurons_than_n_max_is_rejected():
-    net, synapses, labels, rng = fresh_setup(1)
-    train_some(net, synapses, labels, rng.normal(size=(120, 3)) * 2)
+    net, labels, rng = fresh_setup(1)
+    train_some(net, labels, rng.normal(size=(120, 3)) * 2)
     assert net.num_neurons > 2
-    doc = json.loads(save_snapshot(net, synapses, labels))
+    doc = json.loads(save_snapshot(net, labels))
     doc["hyper"]["n_max"] = 2
     message = f"snapshot is not a valid network: {net.num_neurons} neurons exceed n_max 2"
     with pytest.raises(ValueError, match=message):
@@ -188,10 +190,10 @@ def test_more_neurons_than_n_max_is_rejected():
 # -- fuzzing ---------------------------------------------------------------------
 
 def _trained_snapshot(seed):
-    net, synapses, labels, rng = fresh_setup(seed)
-    train_some(net, synapses, labels, rng.normal(size=(40, 3)) * 2)
-    replay_episode(net, synapses, labels)
-    return save_snapshot(net, synapses, labels)
+    net, labels, rng = fresh_setup(seed)
+    train_some(net, labels, rng.normal(size=(40, 3)) * 2)
+    replay_episode(net, labels)
+    return save_snapshot(net, labels)
 
 
 # every fuzz case edits a fresh parse of this small trained snapshot
@@ -242,7 +244,7 @@ def test_fuzzed_snapshot_loads_cleanly_or_raises_value_error(data):
     else:
         doc = value
     try:
-        network, _, _ = load_snapshot(json.dumps(doc))
+        network, _ = load_snapshot(json.dumps(doc))
     except ValueError:
         return
     network.check_invariants()
