@@ -3,7 +3,8 @@
 Each neuron stores a weight vector plus a stack of temporal context
 descriptors. Matching blends the input-to-weight distance with distances
 between the network's global context and the per-neuron descriptors, so the
-winner depends on the recent input history, not just the current frame.
+winner depends on the recent input history, not just the current frame. The
+global context is derived from the previous winner, the one sequence state.
 
 Two operating modes share the same learning dynamics:
 
@@ -188,7 +189,8 @@ _SCREEN_BLOCK = 2**18
 
 
 class Network:
-    """Dynamic neuron set with undirected topology and global temporal context.
+    """Dynamic neuron set with undirected topology and a global temporal
+    context, which every query derives from ``prev_bmu``, the previous winner.
 
     Built from a unit table: ``units``, shape (count, num_contexts + 1, dim),
     holds each neuron's [weight, context_1..K] row and ``habs`` their
@@ -234,9 +236,9 @@ class Network:
         self.step_count = 0
         self.prev_bmu: Optional[int] = None
         # Row j of _units is neuron j as [weight, context_1, ..., context_K];
-        # _query holds [input, C_1, ..., C_K] in the same layout so matching,
-        # adaptation and insertion are single fused array operations. The
-        # per-neuron arrays start empty and _append_units grows them.
+        # _load_query writes [input, C_1, ..., C_K] into _query in the same
+        # layout so matching, adaptation and insertion are single fused array
+        # operations. The per-neuron arrays start empty and _append_units grows them.
         self._units = np.zeros((0, k + 1, dim))
         self._hab = np.zeros(0)
         self._query = np.zeros((k + 1, dim))
@@ -271,8 +273,8 @@ class Network:
         self._learning = np.zeros((3, 0))
         self._adj: dict[int, set[int]] = {}
         self.num_neurons = 0
-        # the frame _iterate has validated; the public methods it calls
-        # recognise this exact object and skip validating it again
+        # the frame _iterate has loaded into _query; the public methods it
+        # calls recognise this exact object and skip loading it again
         self._frame: Optional[np.ndarray] = None
         self._append_units(units, habs)
         # transition counts keyed by target, so predecessor lookups, the only
@@ -297,14 +299,8 @@ class Network:
 
     @property
     def global_context(self) -> np.ndarray:
-        """Current context stack C_1..C_K, shape (num_contexts, dim)."""
-        return self._query[1:].copy()
-
-    @global_context.setter
-    def global_context(self, value) -> None:
-        self._query[1:] = np.asarray(value, dtype=float).reshape(
-            self.hyper.num_contexts, self.dim
-        )
+        """The context C_1..C_K the next step matches with, shape (num_contexts, dim)."""
+        return self._advance_context(np.empty((self.hyper.num_contexts, self.dim)))
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -350,7 +346,9 @@ class Network:
         if not self.has_neuron(neuron_id):
             raise KeyError(f"no neuron with id {neuron_id!r}")
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
+    def _load_query(self, x: np.ndarray) -> np.ndarray:
+        """Check ``x``, write [x, C_1..C_K] into _query and return it checked;
+        the frame _iterate loaded is in place and returns at once."""
         if x is self._frame and x is not None:
             return x
         x = np.asarray(x, dtype=float)
@@ -358,6 +356,8 @@ class Network:
             raise ValueError(f"input shape {x.shape} does not match dimension {self.dim}")
         if not np.isfinite(x).all():
             raise ValueError("input frame has non-finite values")
+        self._query[0] = x
+        self._advance_context(self._query[1:])
         return x
 
     def check_invariants(self) -> None:
@@ -557,44 +557,37 @@ class Network:
         if not top <= self._sqmax:  # NaN also lands here and keeps every row
             self._sqmax = top
 
-    def _advance_context(self) -> None:
-        """Write C_1..C_K into _query rows 1.. from prev_bmu; zero at sequence
-        start. ``match`` applies the same operations to a stack of queries."""
-        contexts = self._query[1:]
-        if self.prev_bmu is None:
-            contexts[...] = 0.0
-            return
-        unit = self._units[self.prev_bmu]
+    def _contexts(self, rows: np.ndarray) -> np.ndarray:
+        """The context rule, for previous winners' rows of shape (..., K+1, dim):
+        C_k = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b."""
         beta = self.hyper.beta
-        # C_k(t) = beta*w_b + (1-beta)*c_{b,k-1} with c_{b,0} = w_b;
-        # unit[0:K] is exactly [c_{b,0}, ..., c_{b,K-1}].
-        np.multiply(unit[: self.hyper.num_contexts], 1.0 - beta, out=contexts)
-        contexts += beta * unit[0]
+        # rows[..., 0:K] is exactly [c_{b,0}, ..., c_{b,K-1}]
+        contexts = rows[..., : self.hyper.num_contexts, :] * (1.0 - beta)
+        contexts += beta * rows[..., :1, :]
+        return contexts
+
+    def _advance_context(self, out: np.ndarray) -> np.ndarray:
+        """Write C_1..C_K from prev_bmu into ``out``, zero at sequence start."""
+        out[...] = 0.0 if self.prev_bmu is None else self._contexts(self._units[self.prev_bmu])
+        return out
 
     def distance(self, neuron_id: int, x: np.ndarray) -> float:
         """Context-weighted squared distance between a neuron and an input."""
         self._check_id(neuron_id)
-        x = self._check_input(x)
-        self._query[0] = x
+        self._load_query(x)
         diff = self._units[neuron_id] - self._query
         return float(np.einsum("j,jk,jk->", self._alpha, diff, diff))
 
     def find_bmu(self, x: np.ndarray) -> tuple[int, int, float]:
-        """Best and second-best matching unit under the current context.
+        """Best and second-best matching unit: what the next step matches.
 
         Ties resolve to the smaller neuron id. Requires at least two neurons.
         """
-        self._query[0] = self._check_input(x)
+        self._load_query(x)
         return self._nearest(self._query)
 
-    def update_global_context(self) -> np.ndarray:
-        """Advance C_1..C_K from the previous winner; zero at sequence start."""
-        self._advance_context()
-        return self.global_context
-
     def reset_context(self) -> None:
-        """Mark a sequence boundary: clear the context stack and the winner."""
-        self._query[1:] = 0.0
+        """Mark a sequence boundary: no previous winner, so a zero context."""
         self.prev_bmu = None
 
     def match(
@@ -618,13 +611,9 @@ class Network:
             and ((prev >= -1) & (prev < self.num_neurons)).all()
         ):
             raise ValueError(f"prev must hold {len(frames)} neuron ids or -1, got {prev!r}")
-        # _advance_context's elementwise operations, one sequence per row
         started = prev >= 0
-        unit = self._units.take(prev[started], axis=0)
-        contexts = unit[:, : self.hyper.num_contexts] * (1.0 - self.hyper.beta)
-        contexts += self.hyper.beta * unit[:, :1]
         query = np.zeros((len(frames), self.hyper.num_contexts + 1, self.dim))
-        query[started, 1:] = contexts
+        query[started, 1:] = self._contexts(self._units.take(prev[started], axis=0))
         query[:, 0] = frames
         return self._nearest_many(query)
 
@@ -634,7 +623,7 @@ class Network:
         """Pull the winner and its neighbors toward the input and current
         context, then habituate them. Returns the touched ids."""
         self._check_id(bmu_id)
-        self._query[0] = self._check_input(x)
+        self._load_query(x)
         ids = [bmu_id] + sorted(self._adj[bmu_id])
         rows = np.array(ids)
         eps, tau, tau_kappa = self._learning[:, : len(ids)]
@@ -678,7 +667,7 @@ class Network:
         self._check_id(second_id)
         if bmu_id == second_id:
             raise ValueError("winner and runner-up must be different neurons")
-        x = self._check_input(x)
+        self._load_query(x)
         if self.mode != GROWING:
             return None
         hy = self.hyper
@@ -688,7 +677,6 @@ class Network:
             return None
         if self.num_neurons >= hy.n_max:
             return None
-        self._query[0] = x
         unit = 0.5 * (self._units[bmu_id] + self._query)
         (new_id,) = self._append_units(unit[None], 1.0)
         self.connect(new_id, bmu_id)
@@ -736,9 +724,9 @@ class Network:
     def step(self, x, label=None, label_counts=None) -> StepOutcome:
         """One full learning iteration on a labeled input frame.
 
-        Order: context update, matching, activity, recording the transition
-        from the previous winner, insertion attempt (growing mode), otherwise
-        adaptation plus winner pair wiring. The label is credited to the
+        Order: context from the previous winner, matching, activity,
+        recording the transition from the previous winner, insertion attempt
+        (growing mode), otherwise adaptation plus winner pair wiring. The label is credited to the
         inserted neuron when one is created, else to the winner, in the
         optional ``label_counts``.
         """
@@ -751,9 +739,8 @@ class Network:
         return self._iterate(x, label, label_counts, replay=True)
 
     def _iterate(self, x, label, label_counts, replay: bool) -> StepOutcome:
-        x = self._frame = self._check_input(x)
+        x = self._frame = self._load_query(x)
         try:
-            self._advance_context()
             bmu_id, second_id, d_b = self.find_bmu(x)
             act = activity(d_b)
             inserted = None

@@ -4,7 +4,9 @@ A snapshot bundles the network, transition counts included, together with the
 label histograms into one JSON document. Serialization is canonical (fixed key
 order, sorted neuron/edge/count listings, shortest round-trip floats), so
 saving, loading and saving again yields identical bytes and a loaded model
-continues training exactly like the original.
+continues training exactly like the original. ``global_context`` is written
+for readers only: the network derives it from ``prev_bmu``, and the loader
+rejects any other value, as it rejects edge and transition rows out of order.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
     documents raise ValueError. No rule of ``Network`` or of the label table's
     constructor is restated here: the loader checks the document's format,
-    and with ``Network.has_neuron`` that every label row names a neuron."""
+    with ``Network.has_neuron`` that every label row names a neuron, and that
+    the network reads back the document's derived and ordered entries."""
     doc = json.loads(text, object_hook=_Doc)
     if not isinstance(doc, dict):
         raise ValueError("snapshot is not a JSON object")
@@ -168,7 +171,6 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
         )
         network.prev_bmu = doc["prev_bmu"]
         network.step_count = _count(doc["step_count"], "step_count")
-        network.global_context = global_context
         for i, j in _rows(doc["edges"], 2, "edges"):
             network.connect(i, j)
         network.check_invariants()
@@ -176,6 +178,13 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
         raise ValueError(f"snapshot is not a valid network: {exc}") from None
     except KeyError as exc:  # connect's id rule, Network.has_neuron
         raise ValueError(f"snapshot edges name a neuron that does not exist ({exc.args[0]})") from None
+    # anything else would load, then re-save as different bytes
+    if global_context.tobytes() != network.global_context.tobytes():
+        raise ValueError("snapshot global_context is not the context derived from prev_bmu")
+    if doc["edges"] != [list(edge) for edge in network.edges]:
+        raise ValueError("snapshot edges are not sorted distinct (i, j) pairs with i < j")
+    if doc["transitions"] != [list(row) for row in network.transitions]:
+        raise ValueError("snapshot transitions are not sorted by curr_id, then prev_id")
 
     label_rows = _rows(doc["label_counts"], 3, "label_counts", network)
     try:

@@ -178,7 +178,6 @@ def gating_audit():
                     if net.num_neurons > n_max:
                         capacity_violations += 1
                     # re-derive the insertion gate on the pre-step clone
-                    probe.update_global_context()
                     b, _, d = probe.find_bmu(seq.features[t])
                     gate = (
                         probe.mode == GROWING
@@ -303,7 +302,8 @@ def test_criterion_2_oracle_equivalence():
             units[row, 1:] = rng.normal(size=(k, dim))
             habs[row] = rng.uniform(0, 1)
         net = Network(hyper, GROWING, units, habs)
-        net.global_context = rng.normal(size=(k, dim))
+        # random rows give a random context through a random previous winner
+        net.prev_bmu = int(rng.integers(n))
         x = rng.normal(size=dim)
         b, s, _ = net.find_bmu(x)
         query = np.concatenate((x[None], net.global_context), axis=0)

@@ -589,6 +589,12 @@ def _over_capacity(doc):
     doc["hyper"]["n_max"] = 2
 
 
+# a snapshot a run writes ends at a sequence boundary: prev_bmu null, zero context
+_DERIVED_CONTEXT = "(?m)^error: snapshot global_context is not the context derived from prev_bmu$"
+_SORTED_EDGES = r"(?m)^error: snapshot edges are not sorted distinct \(i, j\) pairs with i < j$"
+_SORTED_TRANSITIONS = "(?m)^error: snapshot transitions are not sorted by curr_id, then prev_id$"
+
+
 def _set(path, value):
     """Edit that sets doc[path[0]]...[path[-1]] = value."""
     def edit(doc):
@@ -644,6 +650,14 @@ def _set(path, value):
         (_set(["schema_version"], 1.0), "unsupported snapshot schema version 1.0"),
         (_set(["comment"], "x"), r"snapshot has unknown keys \['comment'\]"),
         (_set(["neurons", 1, "label"], "x"), r"snapshot neuron 1 has unknown keys \['label'\]"),
+        (_set(["global_context", 0, 0], 1.0), _DERIVED_CONTEXT),
+        (_set(["global_context", 0, 0], -0.0), _DERIVED_CONTEXT),
+        (_set(["prev_bmu"], 0), _DERIVED_CONTEXT),
+        (lambda doc: doc["edges"].append(doc["edges"][0][::-1]), _SORTED_EDGES),
+        (lambda doc: doc["edges"].append(doc["edges"][0]), _SORTED_EDGES),
+        (lambda doc: doc["edges"].reverse(), _SORTED_EDGES),
+        (lambda doc: doc["edges"][0].reverse(), _SORTED_EDGES),
+        (lambda doc: doc["transitions"].reverse(), _SORTED_TRANSITIONS),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -657,7 +671,9 @@ def _set(path, value):
         "more-neurons-than-n-max", "zero-transition-count", "zero-label-count",
         "bool-transition-ids", "bool-transition-count", "bool-edge-id", "bool-neuron-id",
         "bool-schema-version", "float-schema-version", "unknown-top-level-key",
-        "unknown-neuron-key",
+        "unknown-neuron-key", "context-at-sequence-start", "negative-zero-context",
+        "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
+        "edge-with-i-above-j", "transitions-reversed",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

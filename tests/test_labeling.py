@@ -152,14 +152,12 @@ def test_classify_sample_is_pure():
     net, counts = labeled_net()
     weights_before = net._units.copy()
     hab_before = net._hab.copy()
-    query_before = net._query.copy()
     steps_before = net.step_count
     rows_before = {i: counts.row(i) for i in range(2)}
     prev_before = net.prev_bmu
     classify(net, counts, [np.array([0.1, 0.2]), np.array([4.0, 4.0])])
     assert np.array_equal(net._units, weights_before)
     assert np.array_equal(net._hab, hab_before)
-    assert np.array_equal(net._query, query_before)
     assert net.step_count == steps_before
     assert net.prev_bmu == prev_before
     assert {i: counts.row(i) for i in range(2)} == rows_before

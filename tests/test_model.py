@@ -125,7 +125,8 @@ def test_find_bmu_matches_brute_force_scan(full_scan):
             units[row, 1:] = rng.normal(size=(k, dim))
             habs[row] = rng.uniform(0, 1)
         net = Network(hyper, GROWING, units, habs)
-        net.global_context = rng.normal(size=(k, dim))
+        # random rows give a random context through a random previous winner
+        net.prev_bmu = int(rng.integers(n))
         x = rng.normal(size=dim)
         got = net.find_bmu(x)
         query = np.concatenate((x[None], net.global_context), axis=0)
@@ -374,12 +375,12 @@ def test_non_finite_frame_is_rejected_without_side_effects(call, bad):
 def test_match_rejects_bad_previous_winners_without_side_effects(bad_prev):
     net = _trained_net()
     prev = bad_prev(net)
-    before = (net._units.copy(), net._hab.copy(), net._query.copy(), prev.copy())
+    before = (net._units.copy(), net._hab.copy(), net.prev_bmu, prev.copy())
     with pytest.raises(ValueError, match="prev must hold"):
         net.match(np.zeros((2, 3)), prev)
     assert np.array_equal(net._units, before[0])
     assert np.array_equal(net._hab, before[1])
-    assert np.array_equal(net._query, before[2])
+    assert net.prev_bmu == before[2]
     assert np.array_equal(prev, before[3])
     net.check_invariants()
 
@@ -429,23 +430,55 @@ def test_check_invariants_names_each_violation(corrupt, message):
 def test_context_zero_at_sequence_start():
     net = init_growing(2, HyperParams(n_max=10), (np.zeros(2), np.ones(2)))
     assert net.prev_bmu is None
-    ctx = net.update_global_context()
-    assert np.all(ctx == 0.0)
+    ctx = net.global_context
+    assert ctx.shape == (2, 2) and np.all(ctx == 0.0)
 
 
 def test_context_depth_one_equals_previous_winner_weight():
     net = init_growing(2, HyperParams(n_max=10), (np.array([1.0, 0.0]), np.ones(2)))
     net.prev_bmu = 0
-    ctx = net.update_global_context()
+    ctx = net.global_context
     # C_1 = beta*w + (1-beta)*c_{b,0} with c_{b,0} = w, so exactly w
     assert np.allclose(ctx[0], [1.0, 0.0], rtol=1e-12)
 
 
 def test_context_depth_two_blends_weight_with_first_descriptor():
-    net = init_growing(2, HyperParams(n_max=10), (np.array([1.0, 0.0]), np.ones(2)))
-    net.prev_bmu = 0  # its c_{b,1} is the zero vector
-    ctx = net.update_global_context()
-    assert np.allclose(ctx[1], [0.7, 0.0], rtol=1e-12)
+    units = np.zeros((2, 3, 2))
+    units[0] = [[1.0, 0.0], [0.0, 2.0], [5.0, 5.0]]
+    net = Network(HyperParams(n_max=10), GROWING, units)
+    net.prev_bmu = 0
+    # C_2 = beta*w + (1-beta)*c_{b,1}; c_{b,2} plays no part
+    assert np.allclose(net.global_context[1], [0.7, 0.6], rtol=1e-12)
+
+
+def test_one_context_rule_between_steps():
+    """At any point of a growing stream, find_bmu, match and distance read the
+    context the next step matches with: the one prev_bmu derives."""
+    rng = np.random.default_rng(23)
+    hyper = HyperParams(num_contexts=2, alpha=(0.6, 0.3, 0.1), n_max=40)
+    alpha = np.asarray(hyper.alpha)
+    net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
+    probed = []
+    for t in range(400):
+        if t % 23 == 0:
+            net.reset_context()
+        x = rng.normal(size=3) * 2
+        if rng.random() < 0.25:
+            prev = net.prev_bmu
+            got = net.find_bmu(x)
+            winners, runners_up, d_b = net.match(x[None], np.array([-1 if prev is None else prev]))
+            assert got == (int(winners[0]), int(runners_up[0]), float(d_b[0]))
+            query = np.concatenate((x[None], net.global_context))
+            i = int(rng.integers(net.num_neurons))
+            diff = net.unit_table()[0][i] - query
+            assert net.distance(i, x) == float(np.einsum("j,jk,jk->", alpha, diff, diff))
+            out = net.step(x)
+            assert (out.bmu_id, out.second_id, out.distance) == got
+            probed.append(prev)
+        else:
+            net.step(x)
+    assert net.num_neurons > 10 and len(probed) > 50
+    assert None in probed and sum(p is not None for p in probed) > 40
 
 
 def test_reset_context_clears_stack_and_winner():
@@ -578,9 +611,12 @@ def test_adapt_contracts_distance_to_input():
 
 
 def test_adapt_pulls_contexts_toward_global_context():
-    hyper = HyperParams(n_max=10)
-    net = init_growing(2, hyper, (np.zeros(2), np.ones(2)))
-    net._query[1:] = np.array([[1.0, 1.0], [2.0, 2.0]])
+    # with beta 0.5, previous winner 1 derives the context [[1, 1], [2, 2]]
+    units = np.zeros((2, 3, 2))
+    units[1, :2] = [[1.0, 1.0], [3.0, 3.0]]
+    net = Network(HyperParams(beta=0.5, n_max=10), GROWING, units)
+    net.prev_bmu = 1
+    assert np.array_equal(net.global_context, [[1.0, 1.0], [2.0, 2.0]])
     net.adapt(0, np.zeros(2))
     assert np.allclose(net.unit_table()[0][0, 1], [0.5, 0.5], rtol=1e-12)
     assert np.allclose(net.unit_table()[0][0, 2], [1.0, 1.0], rtol=1e-12)
@@ -608,9 +644,12 @@ def test_insertion_rewires_winner_pair():
 
 
 def test_insertion_context_midpoint():
-    hyper = HyperParams(n_max=10)
-    net = init_growing(2, hyper, (np.zeros(2), np.ones(2)))
-    net._query[1:] = np.array([[1.0, 0.0], [0.0, 1.0]])
+    # with beta 0.5, previous winner 1 derives the context [[1, 0], [0, 1]]
+    units = np.zeros((2, 3, 2))
+    units[1, :2] = [[1.0, 0.0], [-1.0, 2.0]]
+    net = Network(HyperParams(beta=0.5, n_max=10), GROWING, units)
+    net.prev_bmu = 1
+    assert np.array_equal(net.global_context, [[1.0, 0.0], [0.0, 1.0]])
     net._hab[0] = 0.05
     new_id = net.maybe_insert(np.zeros(2), 0, 1, act=0.2)
     assert np.allclose(net.unit_table()[0][new_id, 1:], [[0.5, 0.0], [0.0, 0.5]], rtol=1e-12)
@@ -789,7 +828,6 @@ def test_insertion_gate_holds_under_random_streams():
         out = net.step(x)
         assert net.num_neurons <= hyper.n_max
         # re-derive the gate on the pre-step clone
-        probe.update_global_context()
         b, s, d = probe.find_bmu(x)
         a = math.exp(-d)
         gate = (

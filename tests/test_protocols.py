@@ -217,11 +217,12 @@ def test_lockstep_evaluate_equals_frame_by_frame_reference(full_scan, num_contex
 
 def test_evaluate_leaves_the_network_untouched():
     net, counts, test = _trained()
-    before = [a.copy() for a in (net._units, net._hab, net._query, net._sqnorm32, net._units32)]
+    before = [a.copy() for a in (net._units, net._hab, net._sqnorm32, net._units32)]
+    before.append(net.global_context)
     state = (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items()))
-    assert net.prev_bmu is not None and net._query[1:].any()
+    assert net.prev_bmu is not None and before[-1].any()
     evaluate(net, counts, _ragged(test))
-    after = [net._units, net._hab, net._query, net._sqnorm32, net._units32]
+    after = [net._units, net._hab, net._sqnorm32, net._units32, net.global_context]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert (net.prev_bmu, net.step_count, net.num_neurons, net.edges, list(counts.items())) == state
     assert counts.replay_records == 0

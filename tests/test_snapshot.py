@@ -43,7 +43,10 @@ def test_round_trip_bytes_are_identical():
 def test_round_trip_restores_state_exactly():
     net, labels, rng = fresh_setup(2)
     train_some(net, labels, rng.normal(size=(90, 3)) * 2)
-    net2, labels2 = load_snapshot(save_snapshot(net, labels))
+    text = save_snapshot(net, labels)
+    net2, labels2 = load_snapshot(text)
+    assert net.prev_bmu is not None  # mid-sequence, so the context is not zero
+    assert save_snapshot(net2, labels2) == text
     assert net2.num_neurons == net.num_neurons
     assert net2.mode == net.mode
     assert net2.step_count == net.step_count
@@ -196,8 +199,16 @@ def _trained_snapshot(seed):
     return save_snapshot(net, labels)
 
 
-# every fuzz case edits a fresh parse of this small trained snapshot
-_FUZZ_TEXT = _trained_snapshot(9)
+def _mid_sequence_snapshot(seed):
+    net, labels, rng = fresh_setup(seed)
+    train_some(net, labels, rng.normal(size=(40, 3)) * 2)
+    assert net.prev_bmu is not None
+    return save_snapshot(net, labels)
+
+
+# every fuzz case edits a fresh parse of one of these small trained
+# snapshots: one at a sequence boundary, one mid-sequence
+_FUZZ_TEXTS = (_trained_snapshot(9), _mid_sequence_snapshot(9))
 
 # the loader checks every declared size against the rows it describes
 # before allocating, so integers far out of range are safe to fuzz; integral
@@ -233,7 +244,7 @@ def _paths(node, prefix=()):
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_fuzzed_snapshot_loads_cleanly_or_raises_value_error(data):
-    doc = json.loads(_FUZZ_TEXT)
+    doc = json.loads(data.draw(st.sampled_from(_FUZZ_TEXTS)))
     path = data.draw(st.sampled_from(list(_paths(doc))))
     value = data.draw(_JSON_VALUES)
     if path:
@@ -244,7 +255,9 @@ def test_fuzzed_snapshot_loads_cleanly_or_raises_value_error(data):
     else:
         doc = value
     try:
-        network, _ = load_snapshot(json.dumps(doc))
+        loaded = load_snapshot(json.dumps(doc))
     except ValueError:
         return
-    network.check_invariants()
+    loaded[0].check_invariants()
+    text = save_snapshot(*loaded)
+    assert save_snapshot(*load_snapshot(text)) == text
