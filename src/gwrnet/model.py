@@ -234,7 +234,7 @@ class Network:
         self.mode = mode
         self.rng_seed = rng_seed
         self.step_count = 0
-        self.prev_bmu: Optional[int] = None
+        self._prev_bmu: Optional[int] = None
         # Row j of _units is neuron j as [weight, context_1, ..., context_K];
         # _load_query writes [input, C_1, ..., C_K] into _query in the same
         # layout so matching, adaptation and insertion are single fused array
@@ -296,6 +296,19 @@ class Network:
     @property
     def neuron_ids(self) -> range:
         return range(self.num_neurons)
+
+    @property
+    def prev_bmu(self) -> Optional[int]:
+        """The previous winner, None at a sequence start; the next step's
+        context derives from it. Set it to None or an id that passes
+        :meth:`has_neuron`, else KeyError."""
+        return self._prev_bmu
+
+    @prev_bmu.setter
+    def prev_bmu(self, neuron_id: Optional[int]) -> None:
+        if neuron_id is not None:
+            self._check_id(neuron_id)
+        self._prev_bmu = neuron_id
 
     @property
     def global_context(self) -> np.ndarray:
@@ -371,8 +384,8 @@ class Network:
         problems = []
         if not 0 <= n <= self.hyper.n_max:
             problems.append(f"num_neurons {n} outside [0, {self.hyper.n_max}]")
-        if self.prev_bmu is not None and not self.has_neuron(self.prev_bmu):
-            problems.append(f"prev_bmu {self.prev_bmu} names no neuron")
+        if self._prev_bmu is not None and not self.has_neuron(self._prev_bmu):
+            problems.append(f"prev_bmu {self._prev_bmu} names no neuron")
         if sorted(self._adj) != list(range(n)):
             problems.append("adjacency is not keyed by the neuron ids")
         for i, nbrs in self._adj.items():
@@ -568,7 +581,8 @@ class Network:
 
     def _advance_context(self, out: np.ndarray) -> np.ndarray:
         """Write C_1..C_K from prev_bmu into ``out``, zero at sequence start."""
-        out[...] = 0.0 if self.prev_bmu is None else self._contexts(self._units[self.prev_bmu])
+        prev = self._prev_bmu
+        out[...] = 0.0 if prev is None else self._contexts(self._units[prev])
         return out
 
     def distance(self, neuron_id: int, x: np.ndarray) -> float:
@@ -588,7 +602,7 @@ class Network:
 
     def reset_context(self) -> None:
         """Mark a sequence boundary: no previous winner, so a zero context."""
-        self.prev_bmu = None
+        self._prev_bmu = None
 
     def match(
         self, frames: np.ndarray, prev: np.ndarray
@@ -745,9 +759,10 @@ class Network:
             act = activity(d_b)
             inserted = None
             if not replay:
-                if self.prev_bmu is not None:
+                prev = self._prev_bmu
+                if prev is not None:
                     row = self._pred.setdefault(bmu_id, {})
-                    row[self.prev_bmu] = row.get(self.prev_bmu, 0) + 1
+                    row[prev] = row.get(prev, 0) + 1
                 inserted = self.maybe_insert(x, bmu_id, second_id, act)
             if inserted is None:
                 self.adapt(bmu_id, x)
@@ -757,7 +772,7 @@ class Network:
         if label_counts is not None and label is not None:
             credit = bmu_id if inserted is None else inserted
             label_counts.record(credit, label, replay=replay)
-        self.prev_bmu = bmu_id
+        self._prev_bmu = bmu_id
         self.step_count += 1
         return StepOutcome(
             bmu_id=bmu_id,

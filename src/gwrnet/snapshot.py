@@ -7,6 +7,12 @@ saving, loading and saving again yields identical bytes and a loaded model
 continues training exactly like the original. ``global_context`` is written
 for readers only: the network derives it from ``prev_bmu``, and the loader
 rejects any other value, as it rejects edge and transition rows out of order.
+
+The document is ``json.dumps(doc, separators=(",", ":"))`` of its parse, byte
+for byte, but the writer never builds that whole object: it formats each
+neuron entry from the network's ``unit_table()`` row and joins the parts once.
+The loader fills one unit table from the parsed rows and drops them before
+the network allocates its storage.
 """
 
 from __future__ import annotations
@@ -31,15 +37,12 @@ _KEYS = frozenset((
     "replay_label_records", "total_label_records",
 ))
 _NEURON_KEYS = frozenset(("id", "weight", "contexts", "habituation"))
+_SEPARATORS = (",", ":")
 
 
 def save_snapshot(network: Network, label_counts: LabelAssociations) -> str:
     units, habs = network.unit_table()
-    neurons = [
-        {"id": neuron_id, "weight": unit[0], "contexts": unit[1:], "habituation": hab}
-        for neuron_id, (unit, hab) in enumerate(zip(units.tolist(), habs.tolist()))
-    ]
-    doc = {
+    head = {
         "schema_version": SCHEMA_VERSION,
         "mode": network.mode,
         "dim": network.dim,
@@ -48,14 +51,31 @@ def save_snapshot(network: Network, label_counts: LabelAssociations) -> str:
         "prev_bmu": network.prev_bmu,
         "hyper": {**asdict(network.hyper), "context_form": CONTEXT_FORM},
         "global_context": network.global_context.tolist(),
-        "neurons": neurons,
+    }
+    tail = {
         "edges": [list(edge) for edge in network.edges],
         "transitions": [list(row) for row in network.transitions],
         "label_counts": [list(item) for item in label_counts.items()],
         "replay_label_records": label_counts.replay_records,
         "total_label_records": label_counts.total_records,
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    # a list of dicts holding every unit as Python floats would be a save's
+    # largest transient, so each neuron entry is formatted from its own row,
+    # in the bytes json.dumps writes (float.__repr__ for finite floats), and
+    # one join assembles head, entries and tail
+    parts = [json.dumps(head, separators=_SEPARATORS)[:-1], ',"neurons":[']
+    for neuron_id, hab in enumerate(habs.tolist()):
+        weight, *contexts = units[neuron_id].tolist()
+        parts.append('%s{"id":%d,"weight":%s,"contexts":[%s],"habituation":%r}' % (
+            "," if neuron_id else "", neuron_id, _row_text(weight),
+            ",".join(map(_row_text, contexts)), hab,
+        ))
+    parts += ["],", json.dumps(tail, separators=_SEPARATORS)[1:], "\n"]
+    return "".join(parts)
+
+
+def _row_text(values: list) -> str:
+    return "[" + ",".join(map(float.__repr__, values)) + "]"
 
 
 class _Doc(dict):
@@ -159,17 +179,25 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     if n == 0 and k == 0:
         raise ValueError(f"snapshot dim {dim} is confirmed by no weight or context row")
     weights = _floats([e["weight"] for e in neurons], (n, dim), "weights")
-    contexts = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
+    units = np.empty((n, k + 1, dim))
+    units[:, 0] = weights
+    del weights
+    units[:, 1:] = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
     global_context = _floats(doc["global_context"], (k, dim), "global context")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
-    units = np.concatenate([weights[:, None], contexts], axis=1)
+    # the parsed rows, one Python float per cell, go before the network
+    # allocates its own storage
+    del neurons, doc["neurons"]
     # the network states its own rules; the checks above are of the format
     try:
         network = Network(
             hyper, doc["mode"], units, habs, _count(doc["rng_seed"], "rng_seed"),
             transitions=_rows(doc["transitions"], 3, "transitions"),
         )
-        network.prev_bmu = doc["prev_bmu"]
+        try:
+            network.prev_bmu = doc["prev_bmu"]
+        except KeyError:  # the setter's id rule, Network.has_neuron
+            raise ValueError(f"snapshot prev_bmu {doc['prev_bmu']!r} names no neuron") from None
         network.step_count = _count(doc["step_count"], "step_count")
         for i, j in _rows(doc["edges"], 2, "edges"):
             network.connect(i, j)

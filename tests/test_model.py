@@ -403,7 +403,7 @@ def _overflow_with_finite_bound(net):
         (lambda net: net._hab.__setitem__(1, 0.04), "below the floor"),
         (lambda net: net._units.__setitem__((1, 0, 0), np.nan), "non-finite"),
         (lambda net: net._units.__setitem__((1, 0, 0), 3.0), "stale"),
-        (lambda net: setattr(net, "prev_bmu", net.num_neurons), "prev_bmu"),
+        (lambda net: setattr(net, "_prev_bmu", net.num_neurons), "prev_bmu"),
         (lambda net: net._units32.__setitem__((1, 0, 0), net._units32[1, 0, 0] + 1),
          "float32 screen table is stale"),
         (lambda net: net._sqnorm32.__setitem__(1, net._sqnorm32[1] + 1),
@@ -488,6 +488,35 @@ def test_reset_context_clears_stack_and_winner():
     net.reset_context()
     assert net.prev_bmu is None
     assert np.all(net.global_context == 0.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-1, "past-neurons", "past-storage", True, 1.0],
+    ids=["minus-one", "past-neurons", "past-storage", "bool", "float"],
+)
+def test_prev_bmu_setter_takes_none_or_a_neuron_id(bad):
+    """-1 would read the last storage row as the previous winner, an id past
+    the neurons an unused storage row, an id past the storage would fail
+    inside matching, and True or 1.0 pass for 1 in indexing: the setter
+    rejects them all by Network.has_neuron."""
+    rng = np.random.default_rng(3)
+    net = init_growing(3, HyperParams(n_max=40), rng.normal(size=(2, 3)))
+    for x in rng.normal(size=(30, 3)) * 2:
+        net.step(x)
+    assert net.num_neurons < len(net._units)
+    if bad == "past-neurons":
+        bad = net.num_neurons
+    elif bad == "past-storage":
+        bad = len(net._units)
+    net.prev_bmu = 1
+    context = net.global_context
+    with pytest.raises(KeyError, match=re.escape(f"no neuron with id {bad!r}")):
+        net.prev_bmu = bad
+    assert net.prev_bmu == 1 and np.array_equal(net.global_context, context)
+    net.prev_bmu = None
+    assert np.all(net.global_context == 0.0)
+    net.check_invariants()
 
 
 # -- activity ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Snapshot persistence: canonical bytes and exact training continuation."""
 
+import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -140,6 +142,106 @@ def test_unsupported_schema_version_rejected():
             load_snapshot(broken)
 
 
+def _reference_encoding(net, labels):
+    """The writer's bytes as json.dumps of the whole document, neurons as a
+    list of dicts: the encoder the row-by-row writer replaced, kept here as
+    its oracle."""
+    units, habs = net.unit_table()
+    doc = {
+        "schema_version": 1,
+        "mode": net.mode,
+        "dim": net.dim,
+        "rng_seed": net.rng_seed,
+        "step_count": net.step_count,
+        "prev_bmu": net.prev_bmu,
+        "hyper": {**dataclasses.asdict(net.hyper), "context_form": "recursive"},
+        "global_context": net.global_context.tolist(),
+        "neurons": [
+            {"id": i, "weight": unit[0], "contexts": unit[1:], "habituation": hab}
+            for i, (unit, hab) in enumerate(zip(units.tolist(), habs.tolist()))
+        ],
+        "edges": [list(edge) for edge in net.edges],
+        "transitions": [list(row) for row in net.transitions],
+        "label_counts": [list(item) for item in labels.items()],
+        "replay_label_records": labels.replay_records,
+        "total_label_records": labels.total_records,
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _growing_mid_sequence():
+    net, labels, rng = fresh_setup(11)
+    train_some(net, labels, rng.normal(size=(70, 3)) * 2)
+    replay_episode(net, labels)
+    train_some(net, labels, rng.normal(size=(5, 3)) * 2)
+    labels.record(0, ("cup", ("red", 1)))
+    labels.record(1, 'ü"\\\n')
+    return net, labels
+
+
+def _static_trained():
+    net, labels, rng = fresh_setup(12, static=True)
+    train_some(net, labels, rng.normal(size=(70, 3)) * 2)
+    return net, labels
+
+
+def _without_contexts():
+    rng = np.random.default_rng(13)
+    net = init_growing(3, HyperParams(num_contexts=0, alpha=(1.0,), n_max=12), rng.normal(size=(2, 3)))
+    labels = LabelAssociations()
+    train_some(net, labels, rng.normal(size=(40, 3)) * 2)
+    return net, labels
+
+
+def _without_edges():
+    net, labels, _ = fresh_setup(14)
+    labels.record(0, "plain")
+    return net, labels
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_growing_mid_sequence, _static_trained, _without_contexts, _without_edges],
+    ids=["growing-mid-sequence-odd-labels", "static", "no-contexts", "no-edges"],
+)
+def test_writer_bytes_equal_json_dumps_of_the_document(build):
+    net, labels = build()
+    if build is _growing_mid_sequence:
+        assert net.prev_bmu is not None and net.num_neurons > 2
+    if build is _without_edges:
+        assert net.edges == []
+    assert save_snapshot(net, labels) == _reference_encoding(net, labels)
+
+
+def _traced_peak(call):
+    """Peak bytes ``call`` allocates above what was alive before it, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_io_allocates_a_few_times_the_document():
+    """A 2,500-unit static network, a few hundred steps into training as in
+    the cli-batch benchmark, saves and loads in a few times the document's
+    length. Measured on Python 3.11 (1.41 MB document): saving
+    allocated 2.18x the length, loading 5.03x; the list-of-dicts writer
+    allocated 7.03x and the loader that kept the parsed rows alive while the
+    network allocated 8.00x."""
+    rng = np.random.default_rng(0)
+    net = init_static(16, HyperParams(n_max=2500), -1.0, 1.0, 0)
+    labels = LabelAssociations()
+    train_some(net, labels, rng.uniform(-1.0, 1.0, size=(300, 16)), boundary=20)
+    save_peak, text = _traced_peak(lambda: save_snapshot(net, labels))
+    load_peak, _ = _traced_peak(lambda: load_snapshot(text))
+    assert len(text) > 1_000_000
+    assert save_peak < 3.5 * len(text)
+    assert load_peak < 6.5 * len(text)
+
+
 def test_loading_allocates_for_the_neurons_not_the_declared_capacity():
     hyper = HyperParams(n_max=1_000_000)
     net = init_growing(16, hyper, (np.zeros(16), np.ones(16)))
@@ -177,6 +279,16 @@ def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("bad", [-1, 999, True, 1.0], ids=["minus-one", "missing", "bool", "float"])
+def test_prev_bmu_naming_no_neuron_is_rejected(bad):
+    net, labels, rng = fresh_setup(4)
+    train_some(net, labels, rng.normal(size=(20, 3)) * 2)
+    doc = json.loads(save_snapshot(net, labels))
+    doc["prev_bmu"] = bad
+    with pytest.raises(ValueError, match=re.escape(f"snapshot prev_bmu {bad!r} names no neuron")):
+        load_snapshot(json.dumps(doc))
 
 
 def test_more_neurons_than_n_max_is_rejected():
