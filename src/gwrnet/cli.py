@@ -192,6 +192,9 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{data_path}: {exc}") from None
     out_path = Path(out_dir)
+    # mkdir would fail only after every trial had run
+    if any(p.exists() and not p.is_dir() for p in (out_path, *out_path.parents)):
+        raise ValueError(f"output directory {out_dir} names a file or lies under one")
     if (out_path / "metrics.csv").exists() and not args.force:
         raise ValueError(
             f"{out_dir} already holds a completed run (use --force to overwrite)"

@@ -194,8 +194,22 @@ def write_features(dataset: Dataset, path) -> None:
 
 
 def load_features(path) -> Dataset:
-    """Load a feature CSV written by :func:`write_features` (or compatible);
-    a malformed file raises ValueError naming the offending line."""
+    """Load a feature CSV written by :func:`write_features` (or compatible).
+
+    These are all of the file's rules; breaking one raises ValueError naming
+    the offending line, and ``gwrnet run`` exits 2:
+
+    - line 1 is the header ``label_category,label_instance,session,sequence,
+      frame,f0,...,f{n-1}`` with n >= 1, and every row has its column count;
+    - the ``session``, ``sequence`` and ``frame`` cells are integers;
+    - the rows of one sequence id are contiguous, keep the labels (category,
+      instance, session) of its first row and have strictly rising frame
+      indices; a new sequence may start at any frame index;
+    - every feature cell is a finite float, and there is at least one row.
+
+    Blank lines are skipped, and a UTF-8 byte-order mark and CRLF line ends
+    are accepted.
+    """
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
@@ -211,15 +225,13 @@ def load_features(path) -> Dataset:
     if dim < 1 or feature_cols != [f"f{i}" for i in range(dim)]:
         raise ValueError("line 1: feature columns must be f0..f{n-1}")
 
-    # sequence id -> (category, instance, session) and its [start, stop) rows
-    # in file order; frame indices must rise strictly within a sequence and a
-    # sequence id must not reappear after another sequence started
-    open_seq: Optional[int] = None
+    # sequence id -> (labels, first row) in file order; rows join only the
+    # open sequence, so each sequence runs from its first row to the next's
     seen: dict[int, tuple] = {}
-    spans: dict[int, list[int]] = {}
+    open_seq: Optional[int] = None
+    last_frame = 0
     flat: list[float] = []
     row_lines: list[int] = []
-    last_frame: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -236,9 +248,9 @@ def load_features(path) -> Dataset:
             flat.extend(map(float, cells[5:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        key = (category, instance, session)
+        labels = (category, instance, session)
         if seq_id in seen:
-            if seen[seq_id] != key:
+            if seen[seq_id][0] != labels:
                 raise ValueError(
                     f"line {lineno}: sequence {seq_id} changes labels mid-stream"
                 )
@@ -246,17 +258,15 @@ def load_features(path) -> Dataset:
                 raise ValueError(
                     f"line {lineno}: sequence {seq_id} is not contiguous"
                 )
-            if frame_index <= last_frame[seq_id]:
+            if frame_index <= last_frame:
                 raise ValueError(
                     f"line {lineno}: frame index {frame_index} does not increase"
                 )
         else:
-            seen[seq_id] = key
-            spans[seq_id] = [len(row_lines), len(row_lines)]
+            seen[seq_id] = (labels, len(row_lines))
+            open_seq = seq_id
         row_lines.append(lineno)
-        spans[seq_id][1] = len(row_lines)
-        last_frame[seq_id] = frame_index
-        open_seq = seq_id
+        last_frame = frame_index
     if not row_lines:
         raise ValueError("line 2: no data rows")
     matrix = np.array(flat).reshape(len(row_lines), dim)
@@ -264,17 +274,11 @@ def load_features(path) -> Dataset:
     if not finite.all():
         bad = row_lines[int(np.argmin(finite))]
         raise ValueError(f"line {bad}: non-finite feature value")
-    sequences = [
-        Sequence(
-            category=seen[seq_id][0],
-            instance=seen[seq_id][1],
-            session=seen[seq_id][2],
-            sequence_id=seq_id,
-            features=matrix[start:stop],
-        )
-        for seq_id, (start, stop) in spans.items()
-    ]
-    return Dataset(sequences)
+    stops = [start for _, start in seen.values()][1:] + [len(row_lines)]
+    return Dataset([
+        Sequence(*labels, seq_id, matrix[start:stop])
+        for (seq_id, (labels, start)), stop in zip(seen.items(), stops)
+    ])
 
 
 def split_by_sessions(dataset: Dataset, test_sessions) -> tuple[Dataset, Dataset]:

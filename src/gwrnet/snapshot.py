@@ -5,8 +5,8 @@ label histograms into one JSON document. Serialization is canonical (fixed key
 order, sorted neuron/edge/count listings, shortest round-trip floats), so
 saving, loading and saving again yields identical bytes and a loaded model
 continues training exactly like the original. ``global_context`` is written
-for readers only: the network derives it from ``prev_bmu``, and the loader
-rejects any other value, as it rejects edge and transition rows out of order.
+for readers only: the network derives it from ``prev_bmu``; the loader
+rejects any other value, and edge, transition or label rows out of order.
 
 The document is ``json.dumps(doc, separators=(",", ":"))`` of its parse, byte
 for byte, but the writer never builds that whole object: it formats each
@@ -219,6 +219,9 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
         label_counts = LabelAssociations(label_rows, doc["replay_label_records"])
     except TypeError:
         raise ValueError("snapshot label_counts hold an unhashable label") from None
+    # within one neuron the rows keep recording order, which breaks predict ties
+    if [row[0] for row in label_rows] != [row[0] for row in label_counts.items()]:
+        raise ValueError("snapshot label_counts are not grouped by ascending neuron id")
     total = _count(doc["total_label_records"], "total_label_records")
     if total != label_counts.total_records:
         raise ValueError(f"snapshot total_label_records {total} is not the label count sum")

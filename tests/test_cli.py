@@ -148,6 +148,19 @@ def test_run_is_write_once(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_run_out_naming_a_file_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, under):
+    data = gen_tiny(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    monkeypatch.setattr(cli, "run_protocol", _reach_run)
+    out = taken / "run" if under else taken
+    assert main(TINY_RUN + ["--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output directory {out} names a file or lies under one" in err
+    assert taken.read_text() == "keep\n"
+
+
 def test_run_missing_dataset_exits_2_without_outputs(tmp_path, capsys):
     code, out = run_tiny(tmp_path, tmp_path / "nope.csv", "run3")
     assert code == 2
@@ -658,6 +671,8 @@ def _set(path, value):
         (lambda doc: doc["edges"].reverse(), _SORTED_EDGES),
         (lambda doc: doc["edges"][0].reverse(), _SORTED_EDGES),
         (lambda doc: doc["transitions"].reverse(), _SORTED_TRANSITIONS),
+        (lambda doc: doc["label_counts"].reverse(),
+         "(?m)^error: snapshot label_counts are not grouped by ascending neuron id$"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -673,7 +688,7 @@ def _set(path, value):
         "bool-schema-version", "float-schema-version", "unknown-top-level-key",
         "unknown-neuron-key", "context-at-sequence-start", "negative-zero-context",
         "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
-        "edge-with-i-above-j", "transitions-reversed",
+        "edge-with-i-above-j", "transitions-reversed", "label-rows-reversed",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwrnet.datasets import (
+    CSV_FIXED_COLUMNS,
     WALK_PULLBACK,
+    Dataset,
+    Sequence,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -256,12 +259,25 @@ _HEADER = "label_category,label_instance,session,sequence,frame,f0\n"
          "line 4: sequence 0 is not contiguous"),
         (_HEADER + "cat,cat_a,1,0,0,0.5\ndog,dog_a,1,0,1,0.5\n",
          "line 3: sequence 0 changes labels mid-stream"),
+        (_HEADER + "cat,cat_a,1,0,0,0.5\ndog,dog_a,1,1,0,0.5\ncat,cat_b,1,0,1,0.5\n",
+         "line 4: sequence 0 changes labels mid-stream"),
+        (_HEADER + "cat,cat_a,1,0,3,0.5\ncat,cat_a,1,0,3,0.5\n",
+         "line 3: frame index 3 does not increase"),
+        # a new sequence may start below the last frame index of the one before
+        (_HEADER + "cat,cat_a,1,0,5,0.5\ncat,cat_a,1,0,9,1.5\ndog,dog_a,1,1,0,2.5\n", None),
     ],
-    ids=["empty", "feature-names", "header-only", "sequence-reappears", "labels-change"],
+    ids=["empty", "feature-names", "header-only", "sequence-reappears", "labels-change",
+         "reappears-with-new-labels", "repeated-frame-index", "new-sequence-restarts-frames"],
 )
 def test_loader_names_the_line_of_each_rule(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
+    if message is None:
+        loaded = load_features(path).sequences
+        assert [(s.sequence_id, s.features.ravel().tolist()) for s in loaded] == [
+            (0, [0.5, 1.5]), (1, [2.5])
+        ]
+        return
     with pytest.raises(ValueError) as info:
         load_features(path)
     assert str(info.value) == message
@@ -361,10 +377,10 @@ _CELLS = st.sampled_from(["", "0", "-1", "2", "1.5", "nan", "inf", "1e400", "x",
 @st.composite
 def _edited_csv(draw):
     """``_FUZZ_CSV`` with one line edited: replaced by drawn text, one of
-    its cells replaced, deleted, or duplicated."""
+    its cells replaced, deleted, duplicated, or moved to another place."""
     lines = _FUZZ_CSV.splitlines()
     index = draw(st.integers(0, len(lines) - 1))
-    edit = draw(st.sampled_from(["line", "cell", "delete", "duplicate"]))
+    edit = draw(st.sampled_from(["line", "cell", "delete", "duplicate", "move"]))
     if edit == "line":
         lines[index] = draw(_TEXT)
     elif edit == "cell":
@@ -373,9 +389,106 @@ def _edited_csv(draw):
         lines[index] = ",".join(cells)
     elif edit == "delete":
         del lines[index]
-    else:
+    elif edit == "duplicate":
         lines.insert(index, lines[index])
+    else:
+        line = lines.pop(index)
+        lines.insert(draw(st.integers(0, len(lines))), line)
     return "\n".join(lines) + "\n"
+
+
+def _reference_load_features(path) -> Dataset:
+    """The loader with a per-sequence span table and last-frame table, which
+    the one-open-sequence loop replaced, kept here as its oracle."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("line 1: empty file")
+    header = lines[0].split(",")
+    if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:
+        raise ValueError(
+            f"line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}"
+        )
+    feature_cols = header[len(CSV_FIXED_COLUMNS) :]
+    dim = len(feature_cols)
+    if dim < 1 or feature_cols != [f"f{i}" for i in range(dim)]:
+        raise ValueError("line 1: feature columns must be f0..f{n-1}")
+
+    open_seq = None
+    seen: dict[int, tuple] = {}
+    spans: dict[int, list[int]] = {}
+    flat: list[float] = []
+    row_lines: list[int] = []
+    last_frame: dict[int, int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(
+                f"line {lineno}: expected {len(header)} columns, got {len(cells)}"
+            )
+        category, instance = cells[0], cells[1]
+        try:
+            session = int(cells[2])
+            seq_id = int(cells[3])
+            frame_index = int(cells[4])
+            flat.extend(map(float, cells[5:]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        key = (category, instance, session)
+        if seq_id in seen:
+            if seen[seq_id] != key:
+                raise ValueError(
+                    f"line {lineno}: sequence {seq_id} changes labels mid-stream"
+                )
+            if open_seq != seq_id:
+                raise ValueError(
+                    f"line {lineno}: sequence {seq_id} is not contiguous"
+                )
+            if frame_index <= last_frame[seq_id]:
+                raise ValueError(
+                    f"line {lineno}: frame index {frame_index} does not increase"
+                )
+        else:
+            seen[seq_id] = key
+            spans[seq_id] = [len(row_lines), len(row_lines)]
+        row_lines.append(lineno)
+        spans[seq_id][1] = len(row_lines)
+        last_frame[seq_id] = frame_index
+        open_seq = seq_id
+    if not row_lines:
+        raise ValueError("line 2: no data rows")
+    matrix = np.array(flat).reshape(len(row_lines), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = row_lines[int(np.argmin(finite))]
+        raise ValueError(f"line {bad}: non-finite feature value")
+    sequences = [
+        Sequence(
+            category=seen[seq_id][0],
+            instance=seen[seq_id][1],
+            session=seen[seq_id][2],
+            sequence_id=seq_id,
+            features=matrix[start:stop],
+        )
+        for seq_id, (start, stop) in spans.items()
+    ]
+    return Dataset(sequences)
+
+
+def _load_outcome(load, path):
+    """A loader's sequences (labels, id, feature bytes) in order, or the
+    message of the ValueError it raised."""
+    try:
+        dataset = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return dataset.dim, [
+        (s.category, s.instance, s.session, s.sequence_id, s.features.shape,
+         s.features.tobytes())
+        for s in dataset.sequences
+    ]
 
 
 @settings(max_examples=400, deadline=None)
@@ -383,9 +496,9 @@ def _edited_csv(draw):
 def test_fuzzed_feature_csv_loads_or_raises_feature_file_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
     path.write_text(text, encoding="utf-8")
-    try:
-        dataset = load_features(path)
-    except ValueError:
+    outcome = _load_outcome(load_features, path)
+    assert outcome == _load_outcome(_reference_load_features, path)
+    if isinstance(outcome, str):
         return
-    frames = dataset.all_features()
-    assert frames.shape[1] == dataset.dim and np.isfinite(frames).all()
+    frames = load_features(path).all_features()
+    assert frames.shape[1] == outcome[0] and np.isfinite(frames).all()

@@ -91,8 +91,16 @@ def test_prediction_ties_survive_round_trip():
     labels.record(0, "a")
     labels.record(0, "b")  # tie a=2 b=2, first seen is "b"
     assert labels.predict(0) == "b"
-    _, labels2 = load_snapshot(save_snapshot(net, labels))
+    text = save_snapshot(net, labels)
+    _, labels2 = load_snapshot(text)
     assert labels2.predict(0) == "b"
+    # a neuron's rows are in its recording order, so swapped rows still load
+    # and break the tie the other way
+    doc = json.loads(text)
+    assert doc["label_counts"] == [[0, "b", 2], [0, "a", 2]]
+    doc["label_counts"].reverse()
+    _, swapped = load_snapshot(json.dumps(doc))
+    assert swapped.predict(0) == "a"
 
 
 def test_tuple_labels_survive_round_trip():
