@@ -95,8 +95,9 @@ _GEN_FLAG_NAMES = {"frames_per_seq": "--frames"}
 
 
 def _load_config(path: str) -> dict[str, dict]:
-    # values are literal: a '%' in a path is a character, not interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are literal: a '%' in a path is a character, not interpolation;
+    # no section header can name "", so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:

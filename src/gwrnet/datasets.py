@@ -207,13 +207,15 @@ def load_features(path) -> Dataset:
       indices; a new sequence may start at any frame index;
     - every feature cell is a finite float, and there is at least one row.
 
-    Blank lines are skipped, and a UTF-8 byte-order mark and CRLF line ends
-    are accepted.
+    Lines end only at LF, CRLF or CR; any other character, a form feed or
+    U+2028 included, belongs to its cell. Empty lines are skipped, and a
+    UTF-8 byte-order mark is accepted.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write, and
+    # universal-newline reading turns each CRLF or CR into LF
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise ValueError("line 1: empty file")
     header = lines[0].split(",")
     if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:

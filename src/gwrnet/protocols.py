@@ -44,6 +44,10 @@ DEFAULT_TEST_SESSIONS = (3, 7, 10)
 
 @dataclass(frozen=True)
 class ProtocolSpec:
+    """One protocol configuration. ``n_max`` replaces ``hyper.n_max``: trials
+    build their networks from :meth:`resolved_hyper`, so
+    ``ProtocolSpec(hyper=HyperParams(n_max=50))`` runs at ``n_max`` 300."""
+
     kind: str = INCREMENTAL
     mode: str = GROWING
     replay: bool = False

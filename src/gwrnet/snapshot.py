@@ -4,9 +4,10 @@ A snapshot bundles the network, transition counts included, together with the
 label histograms into one JSON document. Serialization is canonical (fixed key
 order, sorted neuron/edge/count listings, shortest round-trip floats), so
 saving, loading and saving again yields identical bytes and a loaded model
-continues training exactly like the original. ``global_context`` is written
-for readers only: the network derives it from ``prev_bmu``; the loader
-rejects any other value, and edge, transition or label rows out of order.
+continues training exactly like the original. The loader adds two rules to
+those of ``Network`` and the label table: every JSON object holds exactly the
+keys the saver writes, and every entry the saver derives from the model
+(``_derived``) is the same JSON text the saver writes for the loaded model.
 
 The document is ``json.dumps(doc, separators=(",", ":"))`` of its parse, byte
 for byte, but the writer never builds that whole object: it formats each
@@ -29,20 +30,32 @@ SCHEMA_VERSION = 1
 # Schema 1 ends the hyper block with the temporal context rule; the model
 # implements only the recursive Gamma-GWR rule, so the entry is fixed.
 CONTEXT_FORM = "recursive"
-# the keys save_snapshot writes, at the top level and in each neuron entry; a
-# document holding any other key is rejected, as is an unknown hyper key
-_KEYS = frozenset((
+# the keys save_snapshot writes, in its order: at the top level, in each
+# neuron entry and in the hyper block
+_KEYS = (
     "schema_version", "mode", "dim", "rng_seed", "step_count", "prev_bmu", "hyper",
     "global_context", "neurons", "edges", "transitions", "label_counts",
     "replay_label_records", "total_label_records",
-))
-_NEURON_KEYS = frozenset(("id", "weight", "contexts", "habituation"))
+)
+_NEURON_KEYS = ("id", "weight", "contexts", "habituation")
+_HYPER_KEYS = tuple(f.name for f in fields(HyperParams)) + ("context_form",)
 _SEPARATORS = (",", ":")
+
+
+def _derived(network: Network, label_counts: LabelAssociations) -> dict:
+    """The entries that restate the model, as save_snapshot writes them."""
+    return {
+        "global_context": network.global_context.tolist(),
+        "edges": network.edges,
+        "transitions": network.transitions,
+        "label_counts": list(label_counts.items()),
+        "total_label_records": label_counts.total_records,
+    }
 
 
 def save_snapshot(network: Network, label_counts: LabelAssociations) -> str:
     units, habs = network.unit_table()
-    head = {
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "mode": network.mode,
         "dim": network.dim,
@@ -50,15 +63,12 @@ def save_snapshot(network: Network, label_counts: LabelAssociations) -> str:
         "step_count": network.step_count,
         "prev_bmu": network.prev_bmu,
         "hyper": {**asdict(network.hyper), "context_form": CONTEXT_FORM},
-        "global_context": network.global_context.tolist(),
-    }
-    tail = {
-        "edges": [list(edge) for edge in network.edges],
-        "transitions": [list(row) for row in network.transitions],
-        "label_counts": [list(item) for item in label_counts.items()],
         "replay_label_records": label_counts.replay_records,
-        "total_label_records": label_counts.total_records,
+        **_derived(network, label_counts),
     }
+    split = _KEYS.index("neurons")
+    head = {key: doc[key] for key in _KEYS[:split]}
+    tail = {key: doc[key] for key in _KEYS[split + 1:]}
     # a list of dicts holding every unit as Python floats would be a save's
     # largest transient, so each neuron entry is formatted from its own row,
     # in the bytes json.dumps writes (float.__repr__ for finite floats), and
@@ -78,11 +88,18 @@ def _row_text(values: list) -> str:
     return "[" + ",".join(map(float.__repr__, values)) + "]"
 
 
-class _Doc(dict):
-    """JSON object whose missing keys raise ValueError naming the key."""
-
-    def __missing__(self, key):
-        raise ValueError(f"snapshot has no {key!r} entry")
+def _object(value, keys: tuple, what: str) -> dict:
+    """``value`` if it is a JSON object holding exactly ``keys``, the keys the
+    saver writes, else ValueError naming the unknown or first missing key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if value.keys() != set(keys):
+        unknown = sorted(value.keys() - keys)
+        if unknown:
+            raise ValueError(f"{what} has unknown keys {unknown}")
+        missing = next(key for key in keys if key not in value)
+        raise ValueError(f"snapshot has no {missing!r} entry")
+    return value
 
 
 def _count(value, what: str) -> int:
@@ -126,54 +143,39 @@ def _rows(rows, width: int, what: str, network: Network | None = None) -> list:
 
 
 def _hyper(doc) -> HyperParams:
-    if not isinstance(doc, dict):
-        raise ValueError("snapshot hyper is not a JSON object")
-    hyper_doc = dict(doc)
-    form = hyper_doc.pop("context_form", None)
+    form = _object(doc, _HYPER_KEYS, "snapshot hyper")["context_form"]
     if form != CONTEXT_FORM:
         raise ValueError(f"snapshot hyper 'context_form' must be {CONTEXT_FORM!r}, got {form!r}")
-    names = [f.name for f in fields(HyperParams)]
-    unknown = sorted(set(hyper_doc) - set(names))
-    if unknown:
-        raise ValueError(f"snapshot hyper has unknown keys {unknown}")
-    for name in names:
-        if name not in hyper_doc:
-            raise ValueError(f"snapshot has no {name!r} entry")
-    try:
-        hyper_doc["alpha"] = tuple(hyper_doc["alpha"])
-        return HyperParams(**hyper_doc)
+    try:  # the fields are every hyper key but the last, context_form
+        return HyperParams(**{
+            name: tuple(doc[name]) if name == "alpha" else doc[name] for name in _HYPER_KEYS[:-1]
+        })
     except (TypeError, ValueError) as exc:
         raise ValueError(f"snapshot hyper is malformed: {exc}") from None
 
 
 def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
-    documents raise ValueError. No rule of ``Network`` or of the label table's
-    constructor is restated here: the loader checks the document's format,
-    with ``Network.has_neuron`` that every label row names a neuron, and that
-    the network reads back the document's derived and ordered entries."""
-    doc = json.loads(text, object_hook=_Doc)
+    documents raise ValueError. Past the schema version, every JSON object
+    holds exactly the saver's keys and every entry the saver derives is the
+    saver's JSON text for the loaded model. ``Network.has_neuron`` checks that
+    each label row names a neuron; ``Network`` and the label table state the rest."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("snapshot is not a JSON object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported snapshot schema version {version!r}")
-    unknown = sorted(doc.keys() - _KEYS)
-    if unknown:
-        raise ValueError(f"snapshot has unknown keys {unknown}")
+    _object(doc, _KEYS, "snapshot")
     hyper = _hyper(doc["hyper"])
     dim = _count(doc["dim"], "dim")
 
     neurons = _list(doc["neurons"], "neurons")
     n, k = len(neurons), hyper.num_contexts
     for expected, entry in enumerate(neurons):
-        if not isinstance(entry, dict):
-            raise ValueError(f"snapshot neuron {expected} is not a JSON object")
-        unknown = entry.keys() - _NEURON_KEYS
-        if unknown:
-            raise ValueError(f"snapshot neuron {expected} has unknown keys {sorted(unknown)}")
-        if type(entry["id"]) is not int or entry["id"] != expected:
-            raise ValueError(f"non-dense neuron ids: expected {expected}, got {entry['id']}")
+        neuron_id = _object(entry, _NEURON_KEYS, f"snapshot neuron {expected}")["id"]
+        if type(neuron_id) is not int or neuron_id != expected:
+            raise ValueError(f"non-dense neuron ids: expected {expected}, got {neuron_id}")
     # every row of dim floats is checked before Network allocates from dim,
     # so a declared dim must be confirmed by the document's own rows
     if n == 0 and k == 0:
@@ -183,7 +185,6 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     units[:, 0] = weights
     del weights
     units[:, 1:] = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
-    global_context = _floats(doc["global_context"], (k, dim), "global context")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
     # the parsed rows, one Python float per cell, go before the network
     # allocates its own storage
@@ -206,23 +207,14 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
         raise ValueError(f"snapshot is not a valid network: {exc}") from None
     except KeyError as exc:  # connect's id rule, Network.has_neuron
         raise ValueError(f"snapshot edges name a neuron that does not exist ({exc.args[0]})") from None
-    # anything else would load, then re-save as different bytes
-    if global_context.tobytes() != network.global_context.tobytes():
-        raise ValueError("snapshot global_context is not the context derived from prev_bmu")
-    if doc["edges"] != [list(edge) for edge in network.edges]:
-        raise ValueError("snapshot edges are not sorted distinct (i, j) pairs with i < j")
-    if doc["transitions"] != [list(row) for row in network.transitions]:
-        raise ValueError("snapshot transitions are not sorted by curr_id, then prev_id")
-
     label_rows = _rows(doc["label_counts"], 3, "label_counts", network)
     try:
         label_counts = LabelAssociations(label_rows, doc["replay_label_records"])
     except TypeError:
         raise ValueError("snapshot label_counts hold an unhashable label") from None
-    # within one neuron the rows keep recording order, which breaks predict ties
-    if [row[0] for row in label_rows] != [row[0] for row in label_counts.items()]:
-        raise ValueError("snapshot label_counts are not grouped by ascending neuron id")
-    total = _count(doc["total_label_records"], "total_label_records")
-    if total != label_counts.total_records:
-        raise ValueError(f"snapshot total_label_records {total} is not the label count sum")
+    # any other text would load, then re-save as different bytes; text, so a
+    # tuple label equals its list, and 0 or false differs from 0.0
+    for key, value in _derived(network, label_counts).items():
+        if json.dumps(doc[key]) != json.dumps(value):
+            raise ValueError(f"snapshot {key} is not what the saver derives from the model")
     return network, label_counts

@@ -437,6 +437,22 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nn_max = 5\n", "[dataset]\npath = data.csv\n[DEFAULT]\nn_max = 5\n"],
+    ids=["alone", "beside-a-section"],
+)
+def test_run_rejects_a_default_section(tmp_path, capsys, text):
+    """configparser would copy [DEFAULT] keys into every section (or, alone,
+    hide them and run at the defaults); here it is one more unknown section."""
+    data, config = gen_tiny(tmp_path), tmp_path / "default.ini"
+    config.write_text(text)
+    code, _ = run_tiny(tmp_path, data, "x", ["--config", str(config)])
+    assert code == 2
+    assert "error: unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # a valid run.ini apart from its [dataset] section
 _BASE_INI = {
     "model": {k: cli._format_value(getattr(HyperParams(), k)) for k in cli._HYPER_KEYS},
@@ -602,10 +618,14 @@ def _over_capacity(doc):
     doc["hyper"]["n_max"] = 2
 
 
+def _not_derived(key):
+    """The error for an entry whose text is not what the saver derives."""
+    return f"(?m)^error: snapshot {key} is not what the saver derives from the model$"
+
+
 # a snapshot a run writes ends at a sequence boundary: prev_bmu null, zero context
-_DERIVED_CONTEXT = "(?m)^error: snapshot global_context is not the context derived from prev_bmu$"
-_SORTED_EDGES = r"(?m)^error: snapshot edges are not sorted distinct \(i, j\) pairs with i < j$"
-_SORTED_TRANSITIONS = "(?m)^error: snapshot transitions are not sorted by curr_id, then prev_id$"
+_DERIVED_CONTEXT = _not_derived("global_context")
+_DERIVED_EDGES = _not_derived("edges")
 
 
 def _set(path, value):
@@ -631,7 +651,7 @@ def _set(path, value):
         (_set(["neurons", 1, "weight", 0], float("nan")), "non-finite"),
         (_set(["neurons", 1, "weight"], [1.0, 2.0]), "shape"),
         (_set(["neurons", 1, "contexts"], [[0.0] * 6]), "shape"),
-        (_set(["global_context", 0, 0], float("inf")), "non-finite"),
+        (_set(["global_context", 0, 0], float("inf")), _DERIVED_CONTEXT),
         (_set(["prev_bmu"], 999), "prev_bmu"),
         (_set(["hyper", "num_contexts"], 2.0), "num_contexts must be an int"),
         (_set(["hyper", "n_max"], 20.0), "n_max must be an int"),
@@ -644,7 +664,7 @@ def _set(path, value):
         (_set(["dim"], 10**12), "weights have shape"),
         (_set(["neurons", 1, "habituation"], 0.04), "below the floor"),
         (lambda doc: doc.update(total_label_records=doc["total_label_records"] + 1),
-         "total_label_records"),
+         _not_derived("total_label_records")),
         (lambda doc: doc.update(replay_label_records=doc["total_label_records"] + 1),
          "replay records exceed"),
         (lambda doc: doc["transitions"].append(doc["transitions"][0]), "listed twice"),
@@ -666,13 +686,14 @@ def _set(path, value):
         (_set(["global_context", 0, 0], 1.0), _DERIVED_CONTEXT),
         (_set(["global_context", 0, 0], -0.0), _DERIVED_CONTEXT),
         (_set(["prev_bmu"], 0), _DERIVED_CONTEXT),
-        (lambda doc: doc["edges"].append(doc["edges"][0][::-1]), _SORTED_EDGES),
-        (lambda doc: doc["edges"].append(doc["edges"][0]), _SORTED_EDGES),
-        (lambda doc: doc["edges"].reverse(), _SORTED_EDGES),
-        (lambda doc: doc["edges"][0].reverse(), _SORTED_EDGES),
-        (lambda doc: doc["transitions"].reverse(), _SORTED_TRANSITIONS),
-        (lambda doc: doc["label_counts"].reverse(),
-         "(?m)^error: snapshot label_counts are not grouped by ascending neuron id$"),
+        (lambda doc: doc["edges"].append(doc["edges"][0][::-1]), _DERIVED_EDGES),
+        (lambda doc: doc["edges"].append(doc["edges"][0]), _DERIVED_EDGES),
+        (lambda doc: doc["edges"].reverse(), _DERIVED_EDGES),
+        (lambda doc: doc["edges"][0].reverse(), _DERIVED_EDGES),
+        (lambda doc: doc["transitions"].reverse(), _not_derived("transitions")),
+        (lambda doc: doc["label_counts"].reverse(), _not_derived("label_counts")),
+        (_set(["global_context", 0, 0], 0), _DERIVED_CONTEXT),
+        (_set(["global_context", 0, 0], False), _DERIVED_CONTEXT),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -689,6 +710,7 @@ def _set(path, value):
         "unknown-neuron-key", "context-at-sequence-start", "negative-zero-context",
         "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
         "edge-with-i-above-j", "transitions-reversed", "label-rows-reversed",
+        "int-zero-context", "false-context",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -171,6 +171,17 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert np.array_equal(sa.features, sb.features)
 
 
+def test_csv_round_trip_keeps_a_label_holding_a_line_separator(tmp_path):
+    """U+2028 is no line end in a feature CSV, so a label may hold it."""
+    dataset = generate_synthetic(SMALL, seed=11)
+    dataset.sequences[0].instance = "cup\u2028left"
+    path = tmp_path / "features.csv"
+    write_features(dataset, path)
+    loaded = load_features(path)
+    assert [s.instance for s in loaded.sequences] == [s.instance for s in dataset.sequences]
+    assert loaded.all_features().tobytes() == dataset.all_features().tobytes()
+
+
 def test_csv_writer_is_deterministic(tmp_path):
     dataset = generate_synthetic(SMALL, seed=11)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -265,13 +276,25 @@ _HEADER = "label_category,label_instance,session,sequence,frame,f0\n"
          "line 3: frame index 3 does not increase"),
         # a new sequence may start below the last frame index of the one before
         (_HEADER + "cat,cat_a,1,0,5,0.5\ncat,cat_a,1,0,9,1.5\ndog,dog_a,1,1,0,2.5\n", None),
+        # lines end only at line ends: a form-feed line is not empty, and a
+        # U+0085 or U+2028 in a label or a vertical tab after a number ends no line
+        (_HEADER + "cat,cat_a,1,0,0,0.5\n\f\ncat,cat_a,1,0,1,nan\n",
+         "line 3: expected 6 columns, got 1"),
+        (_HEADER + "cat\x85,cat_a,1,0,0,0.5\ncat\x85,cat_a,1,0,1,nan\n",
+         "line 3: non-finite feature value"),
+        (_HEADER + "cat,cat\u2028a,1,0,0,0.5\ncat,cat\u2028a,1,0,1,nan\n",
+         "line 3: non-finite feature value"),
+        (_HEADER + "cat,cat_a,1,0,0,1.0\x0b\ncat,cat_a,1,0,1,nan\n",
+         "line 3: non-finite feature value"),
     ],
     ids=["empty", "feature-names", "header-only", "sequence-reappears", "labels-change",
-         "reappears-with-new-labels", "repeated-frame-index", "new-sequence-restarts-frames"],
+         "reappears-with-new-labels", "repeated-frame-index", "new-sequence-restarts-frames",
+         "form-feed-line", "next-line-in-label", "line-separator-in-label",
+         "vertical-tab-in-cell"],
 )
 def test_loader_names_the_line_of_each_rule(tmp_path, text, message):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     if message is None:
         loaded = load_features(path).sequences
         assert [(s.sequence_id, s.features.ravel().tolist()) for s in loaded] == [
@@ -401,8 +424,8 @@ def _reference_load_features(path) -> Dataset:
     """The loader with a per-sequence span table and last-frame table, which
     the one-open-sequence loop replaced, kept here as its oracle."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise ValueError("line 1: empty file")
     header = lines[0].split(",")
     if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:

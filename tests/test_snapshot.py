@@ -310,6 +310,37 @@ def test_more_neurons_than_n_max_is_rejected():
         load_snapshot(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("global_context", lambda rows: [[0] + row[1:] for row in rows]),
+        ("edges", lambda rows: rows[::-1]),
+        ("transitions", lambda rows: rows[::-1]),
+        ("label_counts", lambda rows: rows[::-1]),
+        ("total_label_records", float),
+    ],
+    ids=["int-zero-context", "edges-reversed", "transitions-reversed",
+         "label-rows-reversed", "float-total"],
+)
+def test_derived_entry_in_another_form_is_rejected(key, edit):
+    """Each entry the saver derives must be the saver's own JSON text: an
+    edit that reads back as the same value or the same rows (an int for a
+    float, rows in another order) would load, then re-save as other bytes."""
+    net, labels, rng = fresh_setup(1)
+    train_some(net, labels, rng.normal(size=(120, 3)) * 2)
+    net.reset_context()  # a zero context, so an int 0 equals its first entry
+    doc = json.loads(save_snapshot(net, labels))
+    saved = doc[key]
+    doc[key] = edit(saved)
+    assert json.dumps(doc[key]) != json.dumps(saved)
+    if key in ("edges", "transitions", "label_counts"):  # the same rows, reordered
+        assert len({row[0] for row in saved}) > 1 and sorted(doc[key]) == sorted(saved)
+    else:  # the same numbers: 0 == 0.0
+        assert doc[key] == saved
+    with pytest.raises(ValueError, match=f"^snapshot {key} is not what the saver derives"):
+        load_snapshot(json.dumps(doc))
+
+
 # -- fuzzing ---------------------------------------------------------------------
 
 def _trained_snapshot(seed):
