@@ -10,6 +10,7 @@ within each sequence. Real pre-extracted features load from a flat CSV.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,58 +128,45 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     per frame. With ``shifted`` the instance prototype plus the session shift,
     frame t is ``shifted + dev_t + noise * z'_t``, where
     ``dev_t = WALK_PULLBACK * dev_{t-1} + walk_step * z_t`` and ``dev_{-1} = 0``.
+
+    A category's sequences advance their walks together. Sequence ids count
+    sessions first, then (category, instance) names compared as text:
+    ``c00o10`` comes before ``c00o2``.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     frames_per_seq, dim = spec.frames_per_seq, spec.dim
     centers = _rng(seed, 0).standard_normal((spec.categories, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    # one category's sequences advance together as the rows of these blocks;
-    # row ii * sessions + (si - 1) is the sequence of (instance ii, session si)
-    num_rows = spec.instances * spec.sessions
-    shifted = np.empty((num_rows, dim))
-    steps = np.empty((num_rows, frames_per_seq, 2, dim))
+    block = (spec.instances, spec.sessions)
+    frames = np.empty((spec.categories, *block, frames_per_seq, dim))
+    shifted = np.empty((*block, dim))
+    steps = np.empty((*block, frames_per_seq, 2, dim))
     scales = np.array([[spec.walk_step], [spec.noise]])
-    dev = np.empty((num_rows, dim))
-
-    sequences = []
+    dev = np.empty((*block, dim))
     for ci in range(spec.categories):
-        category = f"c{ci:02d}"
         for ii in range(spec.instances):
-            proto = centers[ci] + spec.cluster_spread * _rng(
-                seed, 1, ci, ii
-            ).standard_normal(dim)
-            for si in range(1, spec.sessions + 1):
-                row = ii * spec.sessions + si - 1
-                rng = _rng(seed, 2, ci, ii, si)
-                shifted[row] = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(dim)
-                rng.standard_normal(out=steps[row])
+            proto = centers[ci] + spec.cluster_spread * _rng(seed, 1, ci, ii).standard_normal(dim)
+            for si in range(spec.sessions):
+                rng = _rng(seed, 2, ci, ii, si + 1)
+                shifted[ii, si] = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(dim)
+                rng.standard_normal(out=steps[ii, si])
         # the walk with the per-frame loop's IEEE operations in its order;
         # a product is commutative, so scaling every draw up front is exact
         steps *= scales
-        frames = np.empty((num_rows, frames_per_seq, dim))
         dev.fill(0.0)
         for t in range(frames_per_seq):
             dev *= WALK_PULLBACK
-            dev += steps[:, t, 0]
-            np.add(shifted, dev, out=frames[:, t])
-            frames[:, t] += steps[:, t, 1]
-        for row in range(num_rows):
-            ii, si = divmod(row, spec.sessions)
-            sequences.append(
-                Sequence(
-                    category=category,
-                    instance=f"{category}o{ii}",
-                    session=si + 1,
-                    sequence_id=0,  # assigned below
-                    features=frames[row],
-                )
-            )
-    # global sequence ids in (session, category, instance) order, names as text
-    sequences.sort(key=lambda s: (s.session, s.category, s.instance))
-    for seq_id, seq in enumerate(sequences):
-        seq.sequence_id = seq_id
-    return Dataset(sequences)
+            dev += steps[:, :, t, 0]
+            np.add(shifted, dev, out=frames[ci, :, :, t])
+            frames[ci, :, :, t] += steps[:, :, t, 1]
+    names = sorted((f"c{ci:02d}", f"c{ci:02d}o{ii}", ci, ii)
+                   for ci in range(spec.categories) for ii in range(spec.instances))
+    order = itertools.product(range(spec.sessions), names)
+    return Dataset([
+        Sequence(category, instance, si + 1, seq_id, frames[ci, ii, si])
+        for seq_id, (si, (category, instance, ci, ii)) in enumerate(order)
+    ])
 
 
 def write_features(dataset: Dataset, path) -> None:
@@ -206,6 +194,10 @@ def load_features(path) -> Dataset:
       instance, session) of its first row and have strictly rising frame
       indices; a new sequence may start at any frame index;
     - every feature cell is a finite float, and there is at least one row.
+
+    Numeric cells are read by Python's ``int()`` and ``float()``, which accept
+    surrounding whitespace, ``_`` between digits and non-ASCII decimal digits:
+    ``1_0`` reads 10, and the Devanagari digit two reads 2.
 
     Lines end only at LF, CRLF or CR; any other character, a form feed or
     U+2028 included, belongs to its cell. Empty lines are skipped, and a

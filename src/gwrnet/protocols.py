@@ -77,6 +77,11 @@ class ProtocolSpec:
         self.resolved_hyper()  # n_max follows the model's rule
         if not self.test_sessions:
             raise ValueError("test_sessions must not be empty")
+        # one spelling per session set, so equal streams echo equal configs
+        if list(self.test_sessions) != sorted(set(self.test_sessions)):
+            raise ValueError(
+                f"test_sessions must be strictly increasing, got {list(self.test_sessions)}"
+            )
 
     def resolved_hyper(self) -> HyperParams:
         return replace(self.hyper, n_max=self.n_max)

@@ -353,8 +353,12 @@ def test_gen_data_then_run_reproduces_the_library_run(tmp_path):
         (["--parallel-trials", "-3"], "parallel_trials"),
         (["--parallel-trials", "0"], "parallel_trials"),
         (["--data", ""], "dataset file not found"),
+        # "2,2" and "3,2" would run the streams of "2" and "2,3" under another name
+        (["--test-sessions", "2,2"], "test_sessions must be strictly increasing, got [2, 2]"),
+        (["--test-sessions", "3,2"], "test_sessions must be strictly increasing, got [3, 2]"),
     ],
-    ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "empty-path"],
+    ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "empty-path",
+         "repeated-test-session", "decreasing-test-sessions"],
 )
 def test_run_bad_value_exits_2_naming_it_without_outputs(tmp_path, capsys, extra, named):
     data = gen_tiny(tmp_path)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwrnet.datasets import (
@@ -142,6 +142,11 @@ _SCALES = st.sampled_from([0.0, 0.02, 0.1, 0.7])
     ),
     seed=st.sampled_from([0, 1, 7, 101, 2**32 - 1]),
 )
+# names past one digit, where text order differs from index order
+@example(spec=SyntheticSpec(categories=2, instances=12, sessions=2, dim=2, frames_per_seq=2),
+         seed=3)
+@example(spec=SyntheticSpec(categories=101, instances=1, sessions=2, dim=2, frames_per_seq=1),
+         seed=101)
 def test_generator_matches_the_per_frame_reference_bytewise(spec, seed):
     dataset = generate_synthetic(spec, seed)
     expected = _per_frame_synthetic(spec, seed)
@@ -304,6 +309,17 @@ def test_loader_names_the_line_of_each_rule(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_features(path)
     assert str(info.value) == message
+
+
+def test_loader_reads_numeric_cells_with_python_int_and_float(tmp_path):
+    """The documented reach of int() and float(): underscores between
+    digits, surrounding whitespace and non-ASCII decimal digits."""
+    path = tmp_path / "forms.csv"
+    path.write_text(_HEADER + "cat,cat_a,1_0,0,0, 0.5\ncat,cat_a,1_0,0,1,\u0968\n",
+                    encoding="utf-8")
+    (seq,) = load_features(path).sequences
+    assert seq.session == 10
+    assert seq.features.ravel().tolist() == [0.5, 2.0]
 
 
 def test_loader_reads_a_byte_order_mark_and_crlf_lines(tmp_path):

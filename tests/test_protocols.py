@@ -1,5 +1,6 @@
 """Experiment protocol orchestration."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,9 @@ def test_spec_rejects_bad_fields():
             tiny_spec(test_sessions=bad)
     for bad in (3, [2]):
         with pytest.raises(ValueError, match="test_sessions must be a tuple"):
+            tiny_spec(test_sessions=bad)
+    for bad in ((2, 2), (3, 2), (1, 3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"increasing, got {list(bad)}")):
             tiny_spec(test_sessions=bad)
     with pytest.raises(ValueError, match="hyper must be a HyperParams, got None"):
         tiny_spec(hyper=None)
