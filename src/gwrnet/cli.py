@@ -119,12 +119,6 @@ def _load_config(path: str) -> dict[str, dict]:
     return values
 
 
-def _resolve(section: dict, overrides: dict) -> dict:
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -163,9 +157,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_config(args.config) if args.config else {s: {} for s in _SECTIONS}
 
+    # a flag that is set overrides the file's value
     flags = vars(args)
     hyper_cfg, proto_cfg, data_cfg, out_cfg = (
-        _resolve(config[name], {k: flags.get(k) for k in keys})
+        {**config[name], **{k: flags[k] for k in keys if flags[k] is not None}}
         for name, keys in _SECTIONS.items()
     )
 

@@ -170,7 +170,18 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 
 def write_features(dataset: Dataset, path) -> None:
-    """Write the flat feature CSV; floats use shortest round-trip form."""
+    """Write the flat feature CSV; floats use shortest round-trip form. A
+    dataset :func:`load_features` would reject raises ValueError before the
+    file exists: no frame or feature, two sequences sharing an id, a label
+    holding a comma, CR or LF, or a non-finite feature."""
+    ids = [seq.sequence_id for seq in dataset.sequences]
+    if not (dataset.num_frames and dataset.dim) or len(set(ids)) < len(ids):
+        raise ValueError("a feature CSV needs a frame, a feature and distinct sequence ids")
+    for seq in dataset.sequences:
+        if any(c in seq.category + seq.instance for c in ",\r\n"):
+            raise ValueError(f"labels {seq.category!r}, {seq.instance!r} hold a comma or line break")
+        if not np.isfinite(seq.features).all():
+            raise ValueError(f"sequence {seq.sequence_id} has non-finite feature values")
     header = CSV_FIXED_COLUMNS + [f"f{i}" for i in range(dataset.dim)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

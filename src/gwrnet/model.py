@@ -15,9 +15,9 @@ Two operating modes share the same learning dynamics:
   inserts.
 
 The network owns its temporal synapses: directed transition counts between
-consecutive training winners, which replay walks. Label histograms are the
-supervised readout and stay with the caller, who passes them into
-:meth:`Network.step`.
+consecutive training winners, which replay walks. It learns without labels:
+a step takes only the frame. The caller's label histograms are the supervised
+readout; it credits each label to the step's :attr:`StepOutcome.credited`.
 
 Winner search is a screen plus an exact re-rank. The screen ranks every unit
 by ``||u||^2_alpha - 2 u . (alpha * q)`` in float32: one matrix-vector product
@@ -163,6 +163,11 @@ class StepOutcome:
     distance: float
     activity: float
     inserted: Optional[int] = None
+
+    @property
+    def credited(self) -> int:
+        """The neuron credited with the input: the inserted one, else the winner."""
+        return self.bmu_id if self.inserted is None else self.inserted
 
 
 def activity(d_b: float) -> float:
@@ -735,24 +740,21 @@ class Network:
 
     # -- learning iterations --------------------------------------------------
 
-    def step(self, x, label=None, label_counts=None) -> StepOutcome:
-        """One full learning iteration on a labeled input frame.
+    def step(self, x) -> StepOutcome:
+        """One full learning iteration on an input frame.
 
         Order: context from the previous winner, matching, activity,
         recording the transition from the previous winner, insertion attempt
-        (growing mode), otherwise adaptation plus winner pair wiring. The label is credited to the
-        inserted neuron when one is created, else to the winner, in the
-        optional ``label_counts``.
+        (growing mode), otherwise adaptation plus winner pair wiring.
         """
-        return self._iterate(x, label, label_counts, replay=False)
+        return self._iterate(x, replay=False)
 
-    def replay_step(self, x, label=None, label_counts=None) -> StepOutcome:
+    def replay_step(self, x) -> StepOutcome:
         """Consolidation iteration for replayed patterns: same dynamics with
-        insertion disabled, no transition recording, and replay-attributed
-        label credit."""
-        return self._iterate(x, label, label_counts, replay=True)
+        insertion disabled and no transition recording."""
+        return self._iterate(x, replay=True)
 
-    def _iterate(self, x, label, label_counts, replay: bool) -> StepOutcome:
+    def _iterate(self, x, replay: bool) -> StepOutcome:
         x = self._frame = self._load_query(x)
         try:
             bmu_id, second_id, d_b = self.find_bmu(x)
@@ -769,18 +771,9 @@ class Network:
                 self.connect(bmu_id, second_id)
         finally:
             self._frame = None
-        if label_counts is not None and label is not None:
-            credit = bmu_id if inserted is None else inserted
-            label_counts.record(credit, label, replay=replay)
         self._prev_bmu = bmu_id
         self.step_count += 1
-        return StepOutcome(
-            bmu_id=bmu_id,
-            second_id=second_id,
-            distance=d_b,
-            activity=act,
-            inserted=inserted,
-        )
+        return StepOutcome(bmu_id, second_id, d_b, act, inserted)
 
 
 def init_growing(dim: int, hyper: HyperParams, first_two_inputs) -> Network:

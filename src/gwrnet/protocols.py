@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -227,7 +226,7 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
         for seq in sequences:
             network.reset_context()
             for frame in seq.features:
-                network.step(frame, seq.instance, label_counts)
+                label_counts.record(network.step(frame).credited, seq.instance)
         network.reset_context()
         if spec.replay:
             replay_steps += replay_episode(network, label_counts).steps_applied
@@ -302,14 +301,13 @@ def run_protocol(
     if workers <= 1 or spec.trials == 1:
         outputs = [_run_trial(job) for job in jobs]
     else:
+        # imported here: the pool's modules add to every run's memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, spec.trials)) as pool:
             outputs = list(pool.map(_run_trial, jobs))
-    records: list[MetricsRecord] = []
-    snapshots: dict[int, str] = {}
-    for trial, (trial_records, snapshot) in enumerate(outputs):
-        records.extend(trial_records)
-        if snapshot is not None:
-            snapshots[trial] = snapshot
+    records = [record for trial_records, _ in outputs for record in trial_records]
+    snapshots = {trial: text for trial, (_, text) in enumerate(outputs) if text is not None}
     return ProtocolResult(spec=spec, records=records, snapshots=snapshots)
 
 

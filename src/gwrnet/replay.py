@@ -19,8 +19,8 @@ from .model import Network
 @dataclass
 class Rnat:
     """Reactivated trajectory: neuron ids running backward in time from the
-    source ``ids[0]``. Replay presents each id's weight and label as one
-    frozen copy per episode holds them."""
+    source ``ids[0]``. Replay presents each id's weight and credits its label
+    as one frozen copy per episode holds them."""
 
     ids: list[int]
 
@@ -58,12 +58,13 @@ def replay_episode(network: Network, label_counts: LabelAssociations) -> ReplayR
     trajectories, over the network's transition counts as they are; one copy
     of the unit table's weight column; and one readout, each neuron's
     predicted label, the rule evaluation uses. Each trajectory is then replayed oldest
-    element first, as the frozen weight and label of every id on its chain,
-    through the consolidation dynamics (no insertion, no transition
-    recording, replay-attributed label credit). Single-element trajectories
-    carry no temporal information and are skipped. The context is reset
-    around every trajectory so replayed sequences never blend with real input
-    or each other.
+    element first, as the frozen weight of every id on its chain, through the
+    consolidation dynamics (no insertion, no transition recording). Each
+    replayed step credits its winner with the replayed id's frozen label, as
+    a replay record; an id whose readout is None credits nothing.
+    Single-element trajectories carry no temporal information and are
+    skipped. The context is reset around every trajectory so replayed
+    sequences never blend with real input or each other.
     """
     rnats = [generate_rnat(network, neuron_id) for neuron_id in network.neuron_ids]
     weights = network.unit_table()[0][:, 0].copy()
@@ -74,7 +75,9 @@ def replay_episode(network: Network, label_counts: LabelAssociations) -> ReplayR
             continue
         network.reset_context()
         for neuron_id in reversed(rnat.ids):
-            network.replay_step(weights[neuron_id], readout[neuron_id], label_counts)
+            out = network.replay_step(weights[neuron_id])
+            if readout[neuron_id] is not None:
+                label_counts.record(out.credited, readout[neuron_id], replay=True)
             steps += 1
     network.reset_context()
     return ReplayReport(trajectories=len(rnats), steps_applied=steps)

@@ -166,14 +166,13 @@ def gating_audit():
             net = init_static(train.dim, hyper, low, high, run_index)
         else:
             net = init_growing(train.dim, hyper, (first[0], first[1]))
-        labels = LabelAssociations()
         for batch in minibatches:
             for seq in batch:
                 net.reset_context()
                 for t in range(len(seq)):
                     probe = copy.deepcopy(net)
                     before = net._units[: net.num_neurons].copy()
-                    out = net.step(seq.features[t], seq.instance, labels)
+                    out = net.step(seq.features[t])
                     steps += 1
                     if net.num_neurons > n_max:
                         capacity_violations += 1
@@ -523,7 +522,7 @@ def test_criterion_10_snapshot_round_trip():
         for i, x in enumerate(frames, start=offset):
             if i % 11 == 0:
                 network.reset_context()
-            network.step(x, f"obj{i % 4}", lab)
+            lab.record(network.step(x).credited, f"obj{i % 4}")
 
     drive(net, labels, stream[:70], 0)
     mid = save_snapshot(net, labels)

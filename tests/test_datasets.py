@@ -187,6 +187,55 @@ def test_csv_round_trip_keeps_a_label_holding_a_line_separator(tmp_path):
     assert loaded.all_features().tobytes() == dataset.all_features().tobytes()
 
 
+def _unloadable(dataset, case):
+    """Edit ``dataset`` so that its CSV would break a loader rule."""
+    first, second = dataset.sequences[:2]
+    if case == "empty":
+        dataset.sequences = []
+    elif case == "no-features":
+        dataset.dim = 0
+        for seq in dataset.sequences:
+            seq.features = seq.features[:, :0]
+    elif case in ("comma", "cr", "lf"):
+        sep = {"comma": ",", "cr": "\r", "lf": "\n"}[case]
+        first.instance = f"cup{sep}left"
+    elif case == "category":
+        second.category = "c,00"
+    elif case in ("nan", "inf"):
+        second.features[1, 0] = float(case)
+    else:  # a shared sequence id, under the same labels or another session
+        second.sequence_id = first.sequence_id
+        if case == "shared-id":
+            second.category, second.instance = first.category, first.instance
+        else:
+            second.session = first.session + 1
+
+
+@pytest.mark.parametrize("case", [
+    "empty", "no-features", "comma", "cr", "lf", "category", "nan", "inf", "shared-id",
+    "shared-id-session",
+])
+def test_csv_writer_rejects_what_the_loader_rejects(tmp_path, case):
+    """Each edit makes a file load_features rejects (the unchecked writer's
+    output, written here by hand), so the writer raises before creating it."""
+    dataset = generate_synthetic(SMALL, seed=11)
+    _unloadable(dataset, case)
+    path = tmp_path / "features.csv"
+    with pytest.raises(ValueError):
+        write_features(dataset, path)
+    assert not path.exists()
+    header = ",".join(["label_category", "label_instance", "session", "sequence", "frame"]
+                      + [f"f{i}" for i in range(dataset.dim)])
+    rows = [
+        ",".join([s.category, s.instance, str(s.session), str(s.sequence_id), str(t)]
+                 + [repr(float(v)) for v in frame])
+        for s in dataset.sequences for t, frame in enumerate(s.features)
+    ]
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8", newline="")
+    with pytest.raises(ValueError):
+        load_features(path)
+
+
 def test_csv_writer_is_deterministic(tmp_path):
     dataset = generate_synthetic(SMALL, seed=11)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

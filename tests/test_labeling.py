@@ -196,7 +196,7 @@ def test_training_presentation_conservation():
         net.reset_context()
         base = rng.normal(size=2) * 3
         for _ in range(12):
-            net.step(base + 0.2 * rng.normal(size=2), f"obj{s % 4}", counts)
+            counts.record(net.step(base + 0.2 * rng.normal(size=2)).credited, f"obj{s % 4}")
             presented += 1
     # every labeled presentation lands in exactly one histogram cell
     assert sum(count for _, _, count in counts.items()) == presented

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwrnet import model
-from gwrnet.labeling import LabelAssociations
 from gwrnet.model import (
     GROWING,
     STATIC,
@@ -770,7 +769,7 @@ def test_connect_creates_idempotently_and_rejects_self_edges():
 def test_first_step_of_sequence_uses_zero_context_and_records_nothing():
     hyper = HyperParams(n_max=10)
     net = init_growing(2, hyper, (np.zeros(2), np.ones(2)))
-    out = net.step(np.array([1.0, 0.0]), "a", LabelAssociations())
+    out = net.step(np.array([1.0, 0.0]))
     # with zero context the distance is exactly the alpha_0 input term
     assert out.distance == pytest.approx(0.67, rel=1e-12)
     assert net.transitions == []
@@ -790,18 +789,19 @@ def test_step_insertion_path():
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=10)
     net = init_growing(2, hyper, (np.zeros(2), np.array([10.0, 10.0])))
     net._hab[0] = 0.05
-    labels = LabelAssociations()
-    out = net.step(np.array([4.0, 0.0]), "far", labels)
+    out = net.step(np.array([4.0, 0.0]))
     assert out.inserted == 2
     # inserting replaces adaptation: the winner keeps its weight
     assert np.array_equal(net.unit_table()[0][0, 0], [0.0, 0.0])
     assert net.unit_table()[1][0] == 0.05
     assert net.num_neurons == 3
-    # label goes to the inserted neuron, not the winner
-    assert labels.row(2) == {"far": 1}
-    assert labels.row(0) == {}
+    # the input is credited to the inserted neuron, not the winner
+    assert (out.bmu_id, out.credited) == (0, 2)
     # previous winner stays the matching result, not the insert
     assert net.prev_bmu == 0
+    # a step that inserts nothing credits its winner
+    out = net.step(np.array([4.0, 0.0]))
+    assert out.inserted is None and out.credited == out.bmu_id
 
 
 def test_step_insertion_leaves_existing_weights_bitwise_unchanged():

@@ -1,7 +1,11 @@
 """Experiment protocol orchestration."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,7 +178,7 @@ def _trained(num_contexts=2):
     for seq in train.sequences:
         net.reset_context()
         for x in seq.features:
-            net.step(x, seq.instance, counts)
+            counts.record(net.step(x).credited, seq.instance)
     return net, counts, test
 
 
@@ -413,6 +417,19 @@ def test_parallel_trials_match_serial():
     parallel = run_protocol(spec, dataset, workers=4, with_snapshots=True)
     assert strip_wall(serial.records) == strip_wall(parallel.records)
     assert serial.snapshots == parallel.snapshots
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The process pool's modules load only in a run that uses workers, so a
+    serial run does not carry them."""
+    src = Path(protocols.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    pool = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, gwrnet.cli; print([m for m in {pool!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
 
 
 # -- metrics ------------------------------------------------------------------------

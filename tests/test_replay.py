@@ -214,7 +214,7 @@ def trained_toy_setup(seed=0):
         net.reset_context()
         base = rng.normal(size=2) * 2
         for _ in range(10):
-            net.step(base + 0.1 * rng.normal(size=2), f"obj{s % 3}", labels)
+            labels.record(net.step(base + 0.1 * rng.normal(size=2)).credited, f"obj{s % 3}")
     net.reset_context()
     return net, labels
 
@@ -259,8 +259,8 @@ def test_replay_only_wires_visited_neurons():
     visited = set()
     original_step = net.replay_step
 
-    def spy(x, label=None, label_counts=None):
-        out = original_step(x, label, label_counts)
+    def spy(x):
+        out = original_step(x)
         visited.add(out.bmu_id)
         visited.add(out.second_id)
         return out
@@ -280,29 +280,46 @@ def test_replay_label_records_are_tallied_separately():
 
 
 def test_replay_presents_the_frozen_table_and_readout():
-    """Every replayed (x, label) is the weight row of a unit-table copy and
-    the label of a readout, both taken before the episode, along the
-    generate_rnat chains oldest element first. On this seed some neuron is
-    adapted before its own element is replayed, so an episode that read the
-    live table would present other weights."""
-    net, labels = trained_toy_setup(seed=1)
+    """Every replayed frame is the weight row of a unit-table copy, and every
+    credited label the entry of a readout, both taken before the episode,
+    along the generate_rnat chains oldest element first. Each replayed step
+    credits its own winner, not the neuron it replays, as a replay record; a
+    neuron whose readout is None credits nothing, so ``replay_records`` rises
+    by exactly the replayed steps whose frozen readout is a label. On this
+    seed some neuron is adapted before its own element is replayed, so an
+    episode that read the live table would present other weights."""
+    net, trained = trained_toy_setup(seed=4)
     units = net.unit_table()[0].copy()
-    readout = [labels.predict(i) for i in net.neuron_ids]
     chains = [generate_rnat(net, i).ids for i in net.neuron_ids]
     order = [i for ids in chains if len(ids) >= 2 for i in reversed(ids)]
-    presented, moved = [], []
-    original_step = net.replay_step
+    # the first replayed neuron loses its histogram, so its readout is None
+    labels = LabelAssociations([row for row in trained.items() if row[0] != order[0]])
+    readout = [labels.predict(i) for i in net.neuron_ids]
+    before = labels.replay_records
+    presented, moved, winners, records = [], [], [], []
+    original_step, original_record = net.replay_step, labels.record
 
-    def spy(x, label=None, label_counts=None):
+    def step_spy(x):
         i = order[len(presented)]
         if not np.array_equal(net.unit_table()[0][i, 0], units[i, 0]):
             moved.append(i)
-        presented.append((np.array(x), label))
-        return original_step(x, label, label_counts)
+        presented.append(np.array(x))
+        out = original_step(x)
+        winners.append(out.bmu_id)
+        return out
 
-    net.replay_step = spy
-    replay_episode(net, labels)
-    assert len(presented) == len(order)
-    for (x, label), i in zip(presented, order):
-        assert np.array_equal(x, units[i, 0]) and label == readout[i]
+    def record_spy(neuron_id, label, replay=False):
+        records.append((neuron_id, label, replay))
+        original_record(neuron_id, label, replay)
+
+    net.replay_step, labels.record = step_spy, record_spy
+    report = replay_episode(net, labels)
+    assert len(presented) == len(order) == report.steps_applied
+    for x, i in zip(presented, order):
+        assert np.array_equal(x, units[i, 0])
     assert moved
+    replayed = [(w, i) for w, i in zip(winners, order) if readout[i] is not None]
+    assert records == [(w, readout[i], True) for w, i in replayed]
+    assert labels.replay_records - before == len(replayed) < len(order)
+    # on this seed a winner with a label of its own replays another neuron's
+    assert any(w != i and readout[w] not in (None, readout[i]) for w, i in replayed)

@@ -20,7 +20,7 @@ def train_some(net, labels, stream, boundary=13):
     for i, x in enumerate(stream):
         if i % boundary == 0:
             net.reset_context()
-        net.step(x, f"obj{i % 3}", labels)
+        labels.record(net.step(x).credited, f"obj{i % 3}")
 
 
 def fresh_setup(seed=0, static=False):
@@ -79,8 +79,8 @@ def test_loaded_network_continues_identically(static):
         if i % 13 == 0:
             net_a.reset_context()
             net_b.reset_context()
-        net_a.step(x, f"obj{i % 3}", lab_a)
-        net_b.step(x, f"obj{i % 3}", lab_b)
+        lab_a.record(net_a.step(x).credited, f"obj{i % 3}")
+        lab_b.record(net_b.step(x).credited, f"obj{i % 3}")
     assert save_snapshot(net_a, lab_a) == save_snapshot(net_b, lab_b)
 
 
