@@ -270,7 +270,7 @@ def _run_summary(run_dir) -> tuple[tuple[int, ...], list[tuple[float, float]], d
         if any(type(v) is not float for pair in stats for v in pair):
             raise ValueError("acc_overall mean and std are not floats")
         stream = {key: doc["config"][section][key] for section, key in _STREAM_KEYS}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"malformed summary.json in {run_dir}: {exc!r}") from None
     return grid, stats, stream
 

@@ -170,30 +170,32 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 
 def write_features(dataset: Dataset, path) -> None:
-    """Write the flat feature CSV; floats use shortest round-trip form. A
-    dataset :func:`load_features` would reject raises ValueError before the
-    file exists: no frame or feature, two sequences sharing an id, a label
-    holding a comma, CR or LF, or a non-finite feature."""
-    ids = [seq.sequence_id for seq in dataset.sequences]
-    if not (dataset.num_frames and dataset.dim) or len(set(ids)) < len(ids):
-        raise ValueError("a feature CSV needs a frame, a feature and distinct sequence ids")
+    """Write the flat feature CSV in one piece; floats use shortest round-trip
+    form. Text that would not load back as ``dataset`` or that UTF-8 cannot
+    encode raises ValueError before the file exists."""
+    rows = [",".join(CSV_FIXED_COLUMNS + [f"f{i}" for i in range(dataset.dim)])]
     for seq in dataset.sequences:
-        if any(c in seq.category + seq.instance for c in ",\r\n"):
-            raise ValueError(f"labels {seq.category!r}, {seq.instance!r} hold a comma or line break")
-        if not np.isfinite(seq.features).all():
-            raise ValueError(f"sequence {seq.sequence_id} has non-finite feature values")
-    header = CSV_FIXED_COLUMNS + [f"f{i}" for i in range(dataset.dim)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for seq in dataset.sequences:
-            labels = [seq.category, seq.instance, str(seq.session), str(seq.sequence_id)]
-            for t, row in enumerate(seq.features):
-                cells = labels + [str(t)] + [repr(float(v)) for v in row]
-                fh.write(",".join(cells) + "\n")
+        labels = [seq.category, seq.instance, str(seq.session), str(seq.sequence_id)]
+        for t, row in enumerate(seq.features):
+            rows.append(",".join(labels + [str(t)] + [repr(float(v)) for v in row]))
+    text = "\n".join(rows) + "\n"
+    del rows
+    try:
+        back = _parse_features(text)
+    except ValueError as exc:
+        raise ValueError(f"the feature CSV would not load: {exc}") from None
+    # every field of each sequence, the features compared as one array
+    key = lambda d: [{**vars(s), "features": len(s)} for s in d.sequences]
+    if key(back) != key(dataset) or not np.array_equal(back.all_features(), dataset.all_features()):
+        raise ValueError("the feature CSV would load back as another dataset")
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_features(path) -> Dataset:
-    """Load a feature CSV written by :func:`write_features` (or compatible).
+    """Load a feature CSV; :func:`write_features` writes only text this loads
+    back as the dataset it was given.
 
     These are all of the file's rules; breaking one raises ValueError naming
     the offending line, and ``gwrnet run`` exits 2:
@@ -214,17 +216,20 @@ def load_features(path) -> Dataset:
     U+2028 included, belongs to its cell. Empty lines are skipped, and a
     UTF-8 byte-order mark is accepted.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports write, and
-    # universal-newline reading turns each CRLF or CR into LF
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return _parse_features(fh.read())
+
+
+def _parse_features(text: str) -> Dataset:
+    """Every rule :func:`load_features` lists, line ends included."""
+    # the search for CRLF costs about 1 ms a megabyte, and most files hold no CR
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    del text  # lets CPython free the loader's text before the rows are parsed
     if lines == [""]:
         raise ValueError("line 1: empty file")
     header = lines[0].split(",")
     if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:
-        raise ValueError(
-            f"line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}"
-        )
+        raise ValueError(f"line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}")
     feature_cols = header[len(CSV_FIXED_COLUMNS) :]
     dim = len(feature_cols)
     if dim < 1 or feature_cols != [f"f{i}" for i in range(dim)]:
@@ -242,9 +247,7 @@ def load_features(path) -> Dataset:
             continue
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ValueError(
-                f"line {lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
+            raise ValueError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
         category, instance = cells[0], cells[1]
         try:
             session = int(cells[2])
@@ -256,17 +259,11 @@ def load_features(path) -> Dataset:
         labels = (category, instance, session)
         if seq_id in seen:
             if seen[seq_id][0] != labels:
-                raise ValueError(
-                    f"line {lineno}: sequence {seq_id} changes labels mid-stream"
-                )
+                raise ValueError(f"line {lineno}: sequence {seq_id} changes labels mid-stream")
             if open_seq != seq_id:
-                raise ValueError(
-                    f"line {lineno}: sequence {seq_id} is not contiguous"
-                )
+                raise ValueError(f"line {lineno}: sequence {seq_id} is not contiguous")
             if frame_index <= last_frame:
-                raise ValueError(
-                    f"line {lineno}: frame index {frame_index} does not increase"
-                )
+                raise ValueError(f"line {lineno}: frame index {frame_index} does not increase")
         else:
             seen[seq_id] = (labels, len(row_lines))
             open_seq = seq_id

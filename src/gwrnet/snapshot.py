@@ -160,7 +160,10 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     holds exactly the saver's keys and every entry the saver derives is the
     saver's JSON text for the loaded model. ``Network.has_neuron`` checks that
     each label row names a neuron; ``Network`` and the label table state the rest."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("snapshot JSON is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("snapshot is not a JSON object")
     version = doc.get("schema_version")

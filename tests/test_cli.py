@@ -551,10 +551,12 @@ def test_compare_missing_summary_names_directory(tmp_path, capsys):
         json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": 0.5, "std": 0.0}}}}),
         json.dumps({"checkpoints": [1], "by_checkpoint": {"1": {"acc_overall": {"mean": 0.5, "std": 0.0}}},
                     "config": {"dataset": {"path": "d.csv"}, "protocol": {"seed": "1"}}}),
+        "[" * 100_000,
     ],
     ids=[
         "no-table", "list", "string", "truncated", "empty-grid", "list-checkpoint",
         "number-cell", "string-mean", "no-config-echo", "partial-config-echo",
+        "deeply-nested",
     ],
 )
 def test_compare_rejects_malformed_summary(tmp_path, capsys, text):
@@ -726,6 +728,15 @@ def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, messag
     path.write_text(json.dumps(doc))
     assert main(["snapshot-dump", str(path)]) == 2
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_snapshot_dump_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["snapshot-dump", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: snapshot JSON is nested too deeply to parse\n"
+    assert captured.out == ""
 
 
 def test_snapshot_dump_missing_file(tmp_path, capsys):

@@ -188,7 +188,7 @@ def test_csv_round_trip_keeps_a_label_holding_a_line_separator(tmp_path):
 
 
 def _unloadable(dataset, case):
-    """Edit ``dataset`` so that its CSV would break a loader rule."""
+    """Edit ``dataset`` so that its CSV text would not load back as it."""
     first, second = dataset.sequences[:2]
     if case == "empty":
         dataset.sequences = []
@@ -203,6 +203,10 @@ def _unloadable(dataset, case):
         second.category = "c,00"
     elif case in ("nan", "inf"):
         second.features[1, 0] = float(case)
+    elif case == "no-frames":
+        second.features = second.features[:0]
+    elif case == "lone-surrogate":
+        second.instance = "cup\ud800"
     else:  # a shared sequence id, under the same labels or another session
         second.sequence_id = first.sequence_id
         if case == "shared-id":
@@ -213,11 +217,13 @@ def _unloadable(dataset, case):
 
 @pytest.mark.parametrize("case", [
     "empty", "no-features", "comma", "cr", "lf", "category", "nan", "inf", "shared-id",
-    "shared-id-session",
+    "shared-id-session", "no-frames", "lone-surrogate",
 ])
 def test_csv_writer_rejects_what_the_loader_rejects(tmp_path, case):
-    """Each edit makes a file load_features rejects (the unchecked writer's
-    output, written here by hand), so the writer raises before creating it."""
+    """Each edit makes text that UTF-8 cannot encode, that load_features
+    rejects or that it loads as another dataset (the unchecked writer's
+    output, written here by hand), so the writer raises before creating
+    the file."""
     dataset = generate_synthetic(SMALL, seed=11)
     _unloadable(dataset, case)
     path = tmp_path / "features.csv"
@@ -231,9 +237,50 @@ def test_csv_writer_rejects_what_the_loader_rejects(tmp_path, case):
                  + [repr(float(v)) for v in frame])
         for s in dataset.sequences for t, frame in enumerate(s.features)
     ]
-    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8", newline="")
+    text = "\n".join([header] + rows) + "\n"
+    if case == "lone-surrogate":
+        with pytest.raises(UnicodeEncodeError):
+            text.encode("utf-8")
+        return
+    path.write_text(text, encoding="utf-8", newline="")
+    if case == "no-frames":
+        assert len(load_features(path).sequences) == len(dataset.sequences) - 1
+        return
     with pytest.raises(ValueError):
         load_features(path)
+
+
+def _reference_write_features(dataset, path) -> None:
+    """The writer that wrote row by row after restating the loader's rules,
+    which the one parsed text replaced, kept here as its byte oracle."""
+    ids = [seq.sequence_id for seq in dataset.sequences]
+    if not (dataset.num_frames and dataset.dim) or len(set(ids)) < len(ids):
+        raise ValueError("a feature CSV needs a frame, a feature and distinct sequence ids")
+    for seq in dataset.sequences:
+        if any(c in seq.category + seq.instance for c in ",\r\n"):
+            raise ValueError(f"labels {seq.category!r}, {seq.instance!r} hold a comma or line break")
+        if not np.isfinite(seq.features).all():
+            raise ValueError(f"sequence {seq.sequence_id} has non-finite feature values")
+    header = CSV_FIXED_COLUMNS + [f"f{i}" for i in range(dataset.dim)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for seq in dataset.sequences:
+            labels = [seq.category, seq.instance, str(seq.session), str(seq.sequence_id)]
+            for t, row in enumerate(seq.features):
+                cells = labels + [str(t)] + [repr(float(v)) for v in row]
+                fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("spec, seed", [
+    (SyntheticSpec(), 7),
+    (SyntheticSpec(categories=3, instances=2, sessions=4, dim=6, frames_per_seq=5), 1),
+    (SyntheticSpec(categories=5), 101),
+], ids=["default-seed-7", "ci-gen-data", "cli-benchmark-seed-101"])
+def test_csv_writer_matches_the_row_by_row_writer_bytewise(tmp_path, spec, seed):
+    dataset = generate_synthetic(spec, seed)
+    write_features(dataset, tmp_path / "new.csv")
+    _reference_write_features(dataset, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_csv_writer_is_deterministic(tmp_path):

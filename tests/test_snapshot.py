@@ -139,6 +139,13 @@ def test_missing_key_is_named(key):
         load_snapshot(json.dumps(doc))
 
 
+def test_deeply_nested_json_is_a_value_error():
+    """The JSON parser gives up on deep nesting with RecursionError; the
+    loader reports it as the malformed document it is."""
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_snapshot("[" * 100_000)
+
+
 def test_unsupported_schema_version_rejected():
     """Only the int 1 is schema 1: a bool or a float equal to 1 would load
     and then re-save as a different document."""
