@@ -112,8 +112,10 @@ class SyntheticSpec:
             raise ValueError("spread, walk and noise must be nonnegative")
 
 
-def _rng(*entropy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _rng(seed_words: tuple[int, ...], *keys: int) -> np.random.Generator:
+    # numpy's little-endian 32-bit words for (seed, *keys); keys are below 2**32
+    entropy = np.array(seed_words + keys, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
@@ -133,24 +135,32 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     sessions first, then (category, instance) names compared as text:
     ``c00o10`` comes before ``c00o2``.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    words = tuple(seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32))
     frames_per_seq, dim = spec.frames_per_seq, spec.dim
-    centers = _rng(seed, 0).standard_normal((spec.categories, dim))
+    centers = _rng(words, 0).standard_normal((spec.categories, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     block = (spec.instances, spec.sessions)
     frames = np.empty((spec.categories, *block, frames_per_seq, dim))
     shifted = np.empty((*block, dim))
+    protos = np.empty((spec.instances, 1, dim))
     steps = np.empty((*block, frames_per_seq, 2, dim))
     scales = np.array([[spec.walk_step], [spec.noise]])
     dev = np.empty((*block, dim))
     for ci in range(spec.categories):
         for ii in range(spec.instances):
-            proto = centers[ci] + spec.cluster_spread * _rng(seed, 1, ci, ii).standard_normal(dim)
+            _rng(words, 1, ci, ii).standard_normal(out=protos[ii, 0])
             for si in range(spec.sessions):
-                rng = _rng(seed, 2, ci, ii, si + 1)
-                shifted[ii, si] = proto + (spec.cluster_spread / 2.0) * rng.standard_normal(dim)
+                rng = _rng(words, 2, ci, ii, si + 1)
+                rng.standard_normal(out=shifted[ii, si])
                 rng.standard_normal(out=steps[ii, si])
+        # center + spread * z and proto + (spread / 2) * z' after the draws:
+        # the same two IEEE operations per element as one vector at a time
+        protos *= spec.cluster_spread
+        protos += centers[ci]
+        shifted *= spec.cluster_spread / 2.0
+        shifted += protos
         # the walk with the per-frame loop's IEEE operations in its order;
         # a product is commutative, so scaling every draw up front is exact
         steps *= scales

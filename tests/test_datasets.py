@@ -82,8 +82,16 @@ def test_generator_validates_spec():
     for bad in ({"dim": 3.0}, {"categories": True}, {"frames_per_seq": np.int64(5)}):
         with pytest.raises(ValueError, match="must be an int"):
             SyntheticSpec(**bad)
+
+
+@pytest.mark.parametrize(
+    "seed", [True, 1.0, np.int64(1), "1", -1], ids=["bool", "float", "numpy-int", "text", "negative"]
+)
+def test_generator_seed_is_a_non_negative_int(seed):
+    """The seed follows ProtocolSpec.seed's rule: an int (a bool is none) of
+    at least 0."""
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
-        generate_synthetic(SMALL, seed=-1)
+        generate_synthetic(SMALL, seed=seed)
 
 
 def test_sequences_are_contiguous_per_triple():
@@ -140,7 +148,8 @@ _SCALES = st.sampled_from([0.0, 0.02, 0.1, 0.7])
         walk_step=_SCALES,
         noise=_SCALES,
     ),
-    seed=st.sampled_from([0, 1, 7, 101, 2**32 - 1]),
+    # 2**32 and 2**64 + 3 span two and three 32-bit entropy words
+    seed=st.sampled_from([0, 1, 7, 101, 2**32 - 1, 2**32, 2**64 + 3]),
 )
 # names past one digit, where text order differs from index order
 @example(spec=SyntheticSpec(categories=2, instances=12, sessions=2, dim=2, frames_per_seq=2),
