@@ -4,7 +4,7 @@ Subcommands: ``gen-data`` writes a synthetic feature CSV, ``run`` executes a
 protocol on a feature CSV into a self-describing output directory,
 ``compare`` aligns the summaries of several finished runs, and
 ``snapshot-dump`` pretty-prints a saved model. Exit codes: 0 success, 1
-runtime failure, 2 validation failure.
+runtime failure (running out of memory included), 2 validation failure.
 
 Configuration can come from an INI file (sections [model], [protocol],
 [dataset], [output]); command-line flags override file values, and the fully
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the size it was refused; Python's is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -109,8 +109,9 @@ def _count(value, what: str) -> int:
 
 
 def _floats(rows, shape: tuple, what: str) -> np.ndarray:
-    """Finite float array of exactly ``shape`` built from nested lists of
-    numbers; strings and nulls are not numbers."""
+    """Float array of exactly ``shape`` built from nested lists of numbers;
+    strings and nulls are not numbers. Whether the values are finite is a
+    rule of ``Network``, or of the derived-text check for the global context."""
     try:
         values = np.array(rows).astype(float, casting="safe", copy=False)
         if values.size == 0:
@@ -119,8 +120,6 @@ def _floats(rows, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"snapshot {what} are not numbers of shape {shape}") from None
     if values.shape != shape:
         raise ValueError(f"snapshot {what} have shape {values.shape}, expected {shape}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"snapshot {what} hold non-finite values")
     return values
 
 
@@ -158,8 +157,11 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
     """Rebuild the model from :func:`save_snapshot` output; malformed
     documents raise ValueError. Past the schema version, every JSON object
     holds exactly the saver's keys and every entry the saver derives is the
-    saver's JSON text for the loaded model. ``Network.has_neuron`` checks that
-    each label row names a neuron; ``Network`` and the label table state the rest."""
+    saver's JSON text for the loaded model. The weight, context and
+    global-context rows are read at their declared shapes before anything is
+    sized from ``dim``. ``Network.has_neuron`` checks that each label row
+    names a neuron; ``Network`` and the label table state the rest, finite
+    values included."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -179,15 +181,16 @@ def load_snapshot(text: str) -> tuple[Network, LabelAssociations]:
         neuron_id = _object(entry, _NEURON_KEYS, f"snapshot neuron {expected}")["id"]
         if type(neuron_id) is not int or neuron_id != expected:
             raise ValueError(f"non-dense neuron ids: expected {expected}, got {neuron_id}")
-    # every row of dim floats is checked before Network allocates from dim,
-    # so a declared dim must be confirmed by the document's own rows
+    # every row of dim floats is read at its declared shape before Network
+    # allocates from dim, so a declared dim must be confirmed by the rows
     if n == 0 and k == 0:
-        raise ValueError(f"snapshot dim {dim} is confirmed by no weight or context row")
+        raise ValueError(f"snapshot dim {dim} is confirmed by no weight, context or global_context row")
     weights = _floats([e["weight"] for e in neurons], (n, dim), "weights")
     units = np.empty((n, k + 1, dim))
     units[:, 0] = weights
     del weights
     units[:, 1:] = _floats([e["contexts"] for e in neurons], (n, k, dim), "contexts")
+    _floats(doc["global_context"], (k, dim), "global_context rows")
     habs = _floats([e["habituation"] for e in neurons], (n,), "habituations")
     # the parsed rows, one Python float per cell, go before the network
     # allocates its own storage

@@ -79,6 +79,26 @@ def test_gen_data_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+# sizes numpy refuses at once (over a hundred TiB); a size it might grant
+# lazily would exhaust the machine's memory instead of failing
+@pytest.mark.parametrize("command", ["gen-data", "run"])
+def test_out_of_memory_exits_1_with_one_line_and_writes_nothing(tmp_path, capsys, command):
+    if command == "gen-data":
+        out = tmp_path / "huge.csv"
+        code = main(["gen-data", "--instances", "1000000", "--sessions", "1000000",
+                     "--out", str(out)])
+    else:
+        data = gen_tiny(tmp_path)
+        capsys.readouterr()
+        code, out = run_tiny(tmp_path, data, "huge_run",
+                             ["--mode", "static", "--nmax", "1000000000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_writes_self_describing_outputs(tmp_path):
     data = gen_tiny(tmp_path)
     code, out = run_tiny(tmp_path, data, "run1")
@@ -700,6 +720,9 @@ def _set(path, value):
         (lambda doc: doc["label_counts"].reverse(), _not_derived("label_counts")),
         (_set(["global_context", 0, 0], 0), _DERIVED_CONTEXT),
         (_set(["global_context", 0, 0], False), _DERIVED_CONTEXT),
+        (_set(["neurons", 1, "contexts", 0, 0], float("inf")), "unit rows hold non-finite values"),
+        (_set(["neurons", 1, "habituation"], float("nan")),
+         r"habituations must be finite and lie in \[0, 1\]"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -716,7 +739,7 @@ def _set(path, value):
         "unknown-neuron-key", "context-at-sequence-start", "negative-zero-context",
         "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
         "edge-with-i-above-j", "transitions-reversed", "label-rows-reversed",
-        "int-zero-context", "false-context",
+        "int-zero-context", "false-context", "infinite-neuron-context", "nan-habituation",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -272,17 +272,25 @@ def test_loading_allocates_for_the_neurons_not_the_declared_capacity():
 
 
 @pytest.mark.parametrize(
-    "rows, message",
-    [(True, "weights have shape"), (False, "confirmed by no")],
-    ids=["rows-disagree", "no-rows"],
+    "num_contexts, rows, dim, message",
+    [
+        (0, True, 10**8, "weights have shape"),
+        (0, False, 10**8, "confirmed by no"),
+        # 10**12, since a loader that sized the network first would then fail
+        # at once instead of exhausting memory
+        (1, False, 10**12, r"global_context rows have shape \(1, 3\)"),
+    ],
+    ids=["rows-disagree", "no-rows", "no-neurons-with-contexts"],
 )
-def test_unconfirmed_dim_is_rejected_before_allocating(rows, message):
+def test_unconfirmed_dim_is_rejected_before_allocating(num_contexts, rows, dim, message):
     """A declared dim must match the document's rows before anything is
-    sized from it; with no neurons and no contexts nothing confirms it."""
-    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=12)
+    sized from it; with no neurons only the global context can confirm it,
+    and with no contexts either nothing does."""
+    alpha = (1.0, 0.5)[:num_contexts + 1]
+    hyper = HyperParams(num_contexts=num_contexts, alpha=alpha, n_max=12)
     net = init_growing(3, hyper, (np.zeros(3), np.ones(3)))
     doc = json.loads(save_snapshot(net, LabelAssociations()))
-    doc["dim"] = 10**8
+    doc["dim"] = dim
     if not rows:
         doc.update(neurons=[], edges=[], prev_bmu=None)
     text = json.dumps(doc)
