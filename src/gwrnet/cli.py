@@ -99,8 +99,8 @@ def _load_config(path: str) -> dict[str, dict]:
     # no section header can name "", so [DEFAULT] is an ordinary section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ValueError(f"config file not found: {path}")
@@ -178,8 +178,7 @@ def _cmd_run(args) -> int:
         raise ValueError(f"parallel_trials must be at least 1, got {workers}")
     with_snapshots = out_cfg.get("snapshot", False)
 
-    hyper = HyperParams(**hyper_cfg)
-    spec = ProtocolSpec(**{**proto_cfg, "hyper": hyper})
+    spec = ProtocolSpec(**proto_cfg, hyper=HyperParams(**hyper_cfg))
 
     if not Path(data_path).is_file():
         raise ValueError(f"dataset file not found: {data_path}")
@@ -213,7 +212,7 @@ def _cmd_run(args) -> int:
     # config file or a default, so a rerun from config.resolved.ini
     # reproduces summary.json byte for byte
     echo_sections = {
-        "model": {k: getattr(hyper, k) for k in _HYPER_KEYS},
+        "model": {k: getattr(spec.hyper, k) for k in _HYPER_KEYS},
         "protocol": {k: getattr(spec, k) for k in _PROTOCOL_KEYS},
         "dataset": {"path": data_path},
         # the directory itself is not echoed so reruns into different

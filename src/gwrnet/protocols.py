@@ -43,9 +43,8 @@ DEFAULT_TEST_SESSIONS = (3, 7, 10)
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One protocol configuration. ``n_max`` replaces ``hyper.n_max``: trials
-    build their networks from :meth:`resolved_hyper`, so
-    ``ProtocolSpec(hyper=HyperParams(n_max=50))`` runs at ``n_max`` 300."""
+    """One protocol configuration. ``n_max`` is copied into ``hyper``, so
+    ``ProtocolSpec(hyper=HyperParams(n_max=50))`` equals ``ProtocolSpec()``."""
 
     kind: str = INCREMENTAL
     mode: str = GROWING
@@ -73,7 +72,8 @@ class ProtocolSpec:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        self.resolved_hyper()  # n_max follows the model's rule
+        # hyper takes n_max, whose rule the model states; the class is frozen
+        object.__setattr__(self, "hyper", replace(self.hyper, n_max=self.n_max))
         if not self.test_sessions:
             raise ValueError("test_sessions must not be empty")
         # one spelling per session set, so equal streams echo equal configs
@@ -81,9 +81,6 @@ class ProtocolSpec:
             raise ValueError(
                 f"test_sessions must be strictly increasing, got {list(self.test_sessions)}"
             )
-
-    def resolved_hyper(self) -> HyperParams:
-        return replace(self.hyper, n_max=self.n_max)
 
     @property
     def label(self) -> str:
@@ -156,14 +153,13 @@ def _trial_rng(spec: ProtocolSpec, trial: int) -> np.random.Generator:
 
 
 def _init_network(spec: ProtocolSpec, dim: int, first_batch: np.ndarray, trial: int) -> Network:
-    hyper = spec.resolved_hyper()
     if spec.mode == STATIC:
         low, high = _expand_bounds(first_batch)
         init_seed = int(np.random.SeedSequence((spec.seed, trial, 1)).generate_state(1)[0])
-        return init_static(dim, hyper, low, high, init_seed)
+        return init_static(dim, spec.hyper, low, high, init_seed)
     if first_batch.shape[0] < 2:
         raise ValueError("growing mode needs at least two training frames")
-    return init_growing(dim, hyper, (first_batch[0], first_batch[1]))
+    return init_growing(dim, spec.hyper, (first_batch[0], first_batch[1]))
 
 
 def incremental_plan(

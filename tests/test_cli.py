@@ -53,6 +53,15 @@ def run_tiny(tmp_path, data, out_name, extra=()):
     return code, out
 
 
+def run_cli_process(args, cwd=None, **env):
+    """`python -m gwrnet.cli` in a child process whose environment adds ``env``."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "gwrnet.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
 def test_gen_data_writes_expected_rows(tmp_path, capsys):
     path = gen_tiny(tmp_path)
     lines = path.read_text().splitlines()
@@ -132,7 +141,6 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     gen = ["gen-data", "--categories", "3", "--instances", "2", "--sessions", "4",
            "--dim", "8", "--frames", "20", "--seed", "5", "--out", str(data)]
     assert main(gen) == 0
-    src = Path(cli.__file__).resolve().parent.parent
     runs = {
         "batch-static": ["--protocol", "batch", "--mode", "static", "--nmax", "800",
                          "--epochs", "2", "--snapshot"],
@@ -141,15 +149,14 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     }
     outputs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         for name, flags in runs.items():
             out = tmp_path / f"{name}_{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "gwrnet.cli", "run", "--data", str(data),
-                 "--trials", "2", "--test-sessions", "2", "--out", str(out)] + flags,
-                env=env, check=True, capture_output=True,
+            done = run_cli_process(
+                ["run", "--data", str(data), "--trials", "2", "--test-sessions", "2",
+                 "--out", str(out)] + flags,
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
             )
+            assert done.returncode == 0, done.stderr
             files = [out / "metrics.csv"] + sorted(out.glob("snapshots/*"))
             outputs[threads, name] = {p.name: p.read_bytes() for p in files}
     assert len(outputs["1", "batch-static"]) == 3
@@ -254,11 +261,16 @@ def test_trial_error_exits_2_without_outputs(tmp_path, capsys, sequences, flags,
 
 
 def test_run_reruns_byte_identically(tmp_path):
+    """A rerun in a pool of two worker processes writes the same bytes; its
+    summary differs only in the worker count it echoes."""
     data = gen_tiny(tmp_path)
     _, out_a = run_tiny(tmp_path, data, "run_a", ["--snapshot"])
-    _, out_b = run_tiny(tmp_path, data, "run_b", ["--snapshot"])
+    _, out_b = run_tiny(tmp_path, data, "run_b", ["--snapshot", "--parallel-trials", "2"])
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
-    assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+    workers = ('"parallel_trials": "1"', '"parallel_trials": "2"')
+    assert (out_a / "summary.json").read_text().replace(*workers) == (
+        out_b / "summary.json"
+    ).read_text()
     for name in ("trial_000.json", "trial_001.json"):
         assert (out_a / "snapshots" / name).read_bytes() == (
             out_b / "snapshots" / name
@@ -376,9 +388,11 @@ def test_gen_data_then_run_reproduces_the_library_run(tmp_path):
         # "2,2" and "3,2" would run the streams of "2" and "2,3" under another name
         (["--test-sessions", "2,2"], "test_sessions must be strictly increasing, got [2, 2]"),
         (["--test-sessions", "3,2"], "test_sessions must be strictly increasing, got [3, 2]"),
+        # 1 would train as 0 does under another name
+        (["--epochs", "1"], "epochs must be 0"),
     ],
     ids=["seed", "no-train-session", "parallel-negative", "parallel-zero", "empty-path",
-         "repeated-test-session", "decreasing-test-sessions"],
+         "repeated-test-session", "decreasing-test-sessions", "incremental-epochs"],
 )
 def test_run_bad_value_exits_2_naming_it_without_outputs(tmp_path, capsys, extra, named):
     data = gen_tiny(tmp_path)
@@ -398,6 +412,31 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path):
     assert code == 0
     for name in ("metrics.csv", "summary.json", "config.resolved.ini", "snapshots/trial_001.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_rerun_from_an_echo_reads_it_as_utf8_in_any_locale(tmp_path):
+    """The C locale's preferred encoding is ASCII, and the echo holds its path
+    in UTF-8. That locale cannot name the file either, so the rerun takes an
+    ASCII copy through --data; the echo must still be read."""
+    data = gen_tiny(tmp_path, "daten_\u00e4.csv")
+    _, first = run_tiny(tmp_path, data, "first")
+    (tmp_path / "data.csv").write_bytes(data.read_bytes())
+    done = run_cli_process(
+        ["run", "--config", "first/config.resolved.ini", "--data", "data.csv", "--out", "second"],
+        cwd=tmp_path, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert done.returncode == 0, done.stderr
+    assert (first / "metrics.csv").read_bytes() == (tmp_path / "second/metrics.csv").read_bytes()
+
+
+def test_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    data, config = gen_tiny(tmp_path), tmp_path / "latin1.ini"
+    config.write_bytes(b"[protocol]\n# Kapitel \xff\nseed = 3\n")
+    code, out = run_tiny(tmp_path, data, "latin1", ["--config", str(config)])
+    assert code == 2
+    assert (f"error: malformed config file {config}: 'utf-8' codec can't decode byte 0xff"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_run_rejects_non_finite_features(tmp_path, capsys):
@@ -619,11 +658,13 @@ def test_compare_rejects_runs_on_different_streams(tmp_path, capsys):
 def test_snapshot_dump(tmp_path, capsys):
     data = gen_tiny(tmp_path)
     _, out = run_tiny(tmp_path, data, "dump_run", ["--snapshot"])
-    code = main(["snapshot-dump", str(out / "snapshots" / "trial_000.json")])
+    code = main(["snapshot-dump", str(out / "snapshots" / "trial_000.json"), "--neurons"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "mode=growing" in printed
-    assert "neurons=" in printed
+    # one line for each neuron the header counts, in id order
+    count = int(re.search(r"(?m)^  neurons=(\d+) ", printed).group(1))
+    assert re.findall(r"(?m)^  neuron (\d+): ", printed) == [str(k) for k in range(count)]
 
 
 def test_snapshot_dump_reports_missing_key(tmp_path, capsys):
@@ -723,6 +764,10 @@ def _set(path, value):
         (_set(["neurons", 1, "contexts", 0, 0], float("inf")), "unit rows hold non-finite values"),
         (_set(["neurons", 1, "habituation"], float("nan")),
          r"habituations must be finite and lie in \[0, 1\]"),
+        # no row but the global context's can confirm the dim here
+        (lambda doc: doc.update(neurons=[], edges=[], transitions=[], label_counts=[],
+                                replay_label_records=0, total_label_records=0, dim=10**12),
+         r"global_context rows have shape \(2, 6\), expected \(2, 1000000000000\)"),
     ],
     ids=[
         "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
@@ -740,6 +785,7 @@ def _set(path, value):
         "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
         "edge-with-i-above-j", "transitions-reversed", "label-rows-reversed",
         "int-zero-context", "false-context", "infinite-neuron-context", "nan-habituation",
+        "zero-neurons-huge-dim",
     ],
 )
 def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):

@@ -116,6 +116,16 @@ def test_spec_rejects_bad_fields():
         tiny_spec(n_max=1)
 
 
+def test_spec_states_its_capacity_once():
+    """The spec's n_max is the one its networks are built with."""
+    spec = tiny_spec()
+    assert spec.hyper.n_max == spec.n_max == 30
+    assert ProtocolSpec(hyper=HyperParams(n_max=50)) == ProtocolSpec()
+    assert replace(spec, n_max=40).hyper.n_max == 40
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        ProtocolSpec(hyper=HyperParams(n_max=50), n_max=1)
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
