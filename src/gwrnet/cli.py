@@ -129,14 +129,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _echo_config(path: Path, sections: dict[str, dict]) -> None:
+def _resolved_config(echo: dict[str, dict]) -> bytes:
+    """The UTF-8 bytes of config.resolved.ini: one section per echo section,
+    its formatted values by sorted key."""
     lines = []
-    for name, section in sections.items():
+    for name, section in echo.items():
         lines.append(f"[{name}]")
         for key in sorted(section):
-            lines.append(f"{key} = {_format_value(section[key])}")
+            lines.append(f"{key} = {section[key]}")
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    return "\n".join(lines).encode("utf-8")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -179,35 +181,6 @@ def _cmd_run(args) -> int:
     with_snapshots = out_cfg.get("snapshot", False)
 
     spec = ProtocolSpec(**proto_cfg, hyper=HyperParams(**hyper_cfg))
-
-    if not Path(data_path).is_file():
-        raise ValueError(f"dataset file not found: {data_path}")
-    try:
-        dataset = load_features(data_path)
-    except ValueError as exc:
-        raise ValueError(f"{data_path}: {exc}") from None
-    out_path = Path(out_dir)
-    # mkdir would fail only after every trial had run
-    if any(p.exists() and not p.is_dir() for p in (out_path, *out_path.parents)):
-        raise ValueError(f"output directory {out_dir} names a file or lies under one")
-    if (out_path / "metrics.csv").exists() and not args.force:
-        raise ValueError(
-            f"{out_dir} already holds a completed run (use --force to overwrite)"
-        )
-
-    # the directory is created only once the run has succeeded, so an input
-    # that fails inside a trial leaves nothing behind
-    result = run_protocol(spec, dataset, workers=workers, with_snapshots=with_snapshots)
-
-    out_path.mkdir(parents=True, exist_ok=True)
-    # a forced rerun replaces every snapshot of the run it overwrites
-    snap_dir = out_path / "snapshots"
-    for stale in snap_dir.glob("trial_*.json"):
-        stale.unlink()
-    with contextlib.suppress(OSError):
-        snap_dir.rmdir()  # only succeeds once it is empty
-    write_metrics_csv(result.records, out_path / "metrics.csv")
-    write_timing_csv(result.records, out_path / "timing.csv")
     # echoed in declaration order whether a value came from a flag, the
     # config file or a default, so a rerun from config.resolved.ini
     # reproduces summary.json byte for byte
@@ -222,18 +195,63 @@ def _cmd_run(args) -> int:
             "parallel_trials": workers,
         },
     }
-    summary = summarize(spec, result.records, config_echo={
+    echo = {
         name: {k: _format_value(v) for k, v in section.items()}
         for name, section in echo_sections.items()
-    })
+    }
+    # encoded before any trial runs, so a path the echo cannot hold fails first
+    try:
+        resolved_config = _resolved_config(echo)
+    except UnicodeEncodeError:
+        raise ValueError(
+            f"dataset path {data_path!r} is not UTF-8 text, which config.resolved.ini echoes"
+        ) from None
+
+    if not Path(data_path).is_file():
+        raise ValueError(f"dataset file not found: {data_path}")
+    try:
+        dataset = load_features(data_path)
+    except ValueError as exc:
+        raise ValueError(f"{data_path}: {exc}") from None
+    out_path = Path(out_dir)
+    metrics_path = out_path / "metrics.csv"
+    # mkdir would fail only after every trial had run
+    if any(p.exists() and not p.is_dir() for p in (out_path, *out_path.parents)):
+        raise ValueError(f"output directory {out_dir} names a file or lies under one")
+    if metrics_path.exists() and not args.force:
+        raise ValueError(
+            f"{out_dir} already holds a completed run (use --force to overwrite)"
+        )
+
+    # the directory is created only once the run has succeeded, so an input
+    # that fails inside a trial leaves nothing behind
+    result = run_protocol(spec, dataset, workers=workers, with_snapshots=with_snapshots)
+
+    out_path.mkdir(parents=True, exist_ok=True)
+    # metrics.csv marks a completed run: it goes first and is written last, so
+    # a write that fails in between leaves a directory `run` accepts again
+    metrics_path.unlink(missing_ok=True)
+    # a forced rerun replaces every snapshot of the run it overwrites
+    snap_dir = out_path / "snapshots"
+    for stale in snap_dir.glob("trial_*.json"):
+        stale.unlink()
+    with contextlib.suppress(OSError):
+        snap_dir.rmdir()  # only succeeds once it is empty
+    write_timing_csv(result.records, out_path / "timing.csv")
+    summary = summarize(spec, result.records, config_echo=echo)
     with open(out_path / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    _echo_config(out_path / "config.resolved.ini", echo_sections)
+    (out_path / "config.resolved.ini").write_bytes(resolved_config)
     if with_snapshots:
         snap_dir.mkdir(exist_ok=True)
         for trial, text in result.snapshots.items():
             (snap_dir / f"trial_{trial:03d}.json").write_text(text, encoding="utf-8")
+    try:
+        write_metrics_csv(result.records, metrics_path)
+    except OSError:
+        metrics_path.unlink(missing_ok=True)  # a part marks nothing
+        raise
 
     final = max(r.checkpoint for r in result.records)
     finals = [r.acc_overall for r in result.records if r.checkpoint == final]

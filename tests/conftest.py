@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 
+# the fixtures that run whole benchmark comparisons (minutes): criteria 5, 6a,
+# 6b and 7; every other acceptance criterion runs in seconds
+_BENCHMARK_FIXTURES = {"incremental_runs", "batch_epochs_to_criterion"}
+
+
 def pytest_collection_modifyitems(items):
-    # the acceptance criteria run whole benchmark comparisons (minutes);
-    # `pytest -m "not slow"` leaves them out for a seconds-long inner loop
+    # `pytest -m "not slow"` leaves out only the benchmark comparisons, for a
+    # seconds-long inner loop that still checks the fast criteria
     for item in items:
-        if item.path.name == "test_acceptance.py":
+        if _BENCHMARK_FIXTURES.intersection(item.fixturenames):
             item.add_marker(pytest.mark.slow)
 
 

@@ -175,6 +175,41 @@ def test_run_is_write_once(tmp_path, capsys):
     assert code == 0
 
 
+def _disk_full(records, path):
+    """A table writer that runs out of room after its first line."""
+    Path(path).write_text("trial\n")
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("first_run", [False, True], ids=["fresh", "forced-over-a-run"])
+@pytest.mark.parametrize("writer", ["write_timing_csv", "write_metrics_csv"])
+def test_failed_write_leaves_no_completed_run(tmp_path, capsys, monkeypatch, writer, first_run):
+    """metrics.csv marks a completed run and is written last, whole or not at
+    all: a write that fails exits 1, and a rerun without --force succeeds."""
+    data = gen_tiny(tmp_path)
+    if first_run:
+        assert run_tiny(tmp_path, data, "full")[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, writer, _disk_full)
+        code, out = run_tiny(tmp_path, data, "full", ["--force"] if first_run else [])
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.is_dir() and not (out / "metrics.csv").exists()
+    assert run_tiny(tmp_path, data, "full")[0] == 0
+    assert (out / "metrics.csv").is_file()
+
+
+def test_dataset_path_utf8_cannot_encode_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    """config.resolved.ini echoes the dataset path as UTF-8, so a file name
+    byte that decodes to a lone surrogate is refused before the run starts."""
+    data = gen_tiny(tmp_path).rename(tmp_path / os.fsdecode(b"daten_\xe4.csv"))
+    monkeypatch.setattr(cli, "run_protocol", _reach_run)
+    code, out = run_tiny(tmp_path, data, "latin1_name")
+    assert code == 2
+    assert "daten_\\udce4.csv' is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 def test_run_out_naming_a_file_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, under):
     data = gen_tiny(tmp_path)

@@ -1,10 +1,12 @@
 """Unit tests for the core learning dynamics.
 
-Expected values are either hand-derived from the update equations or checked
-against independent brute-force re-implementations kept inside this module.
+Expected values are hand-derived from the update equations or come from the
+full-scan reference in ``conftest.py``. What the fast acceptance criteria
+check (the equation values of criterion 1, the winner oracle of criterion 2,
+the insertion gate of criterion 4 and the untouched rows of criterion 8) is
+stated there once, and not restated here.
 """
 
-import copy
 import math
 import re
 
@@ -32,22 +34,6 @@ def two_neuron_net(w0=(0.0, 0.0), w1=(5.0, 5.0), hyper=K0):
     return init_growing(2, hyper, (np.asarray(w0, float), np.asarray(w1, float)))
 
 
-def brute_force_bmu(units, alpha, query):
-    """Independent winner scan: plain loops, ties to the smaller id."""
-    best = second = None
-    best_d = second_d = math.inf
-    for j in range(units.shape[0]):
-        d = 0.0
-        for k in range(units.shape[1]):
-            d += alpha[k] * float(np.sum((query[k] - units[j, k]) ** 2))
-        if d < best_d:
-            second, second_d = best, best_d
-            best, best_d = j, d
-        elif d < second_d:
-            second, second_d = j, d
-    return best, second, best_d
-
-
 # -- distance ------------------------------------------------------------------
 
 
@@ -56,37 +42,12 @@ def test_distance_identity_is_zero():
     assert net.distance(0, np.array([0.0, 0.0])) == 0.0
 
 
-def test_distance_is_squared_euclidean_at_depth_zero():
-    net = two_neuron_net()
-    assert net.distance(0, np.array([3.0, 4.0])) == pytest.approx(25.0, rel=1e-12)
-
-
-def test_distance_weights_input_term_with_reference_alphas():
-    net = init_growing(2, HyperParams(n_max=10), (np.zeros(2), np.ones(2)))
-    # all contexts zero, x=(1,0): only the input term alpha_0*1 contributes
-    assert net.distance(0, np.array([1.0, 0.0])) == pytest.approx(0.67, rel=1e-12)
-
-
 def test_distance_errors():
     net = two_neuron_net()
     with pytest.raises(ValueError):
         net.distance(0, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(KeyError):
         net.distance(7, np.array([1.0, 2.0]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_distance_depth_zero_reduction(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 9))
-    alpha0 = float(rng.uniform(0.1, 2.0))
-    hyper = HyperParams(num_contexts=0, alpha=(alpha0,), n_max=5)
-    w = rng.normal(size=(2, dim))
-    net = init_growing(dim, hyper, (w[0], w[1]))
-    x = rng.normal(size=dim)
-    expected = alpha0 * float(np.sum((x - w[0]) ** 2))
-    assert net.distance(0, x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # -- find_bmu ------------------------------------------------------------------
@@ -108,30 +69,6 @@ def test_find_bmu_needs_two_neurons():
     net = Network(K0, GROWING, np.zeros((1, 1, 2)))
     with pytest.raises(RuntimeError):
         net.find_bmu(np.zeros(2))
-
-
-def test_find_bmu_matches_brute_force_scan(full_scan):
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        dim = int(rng.integers(1, 9))
-        k = int(rng.integers(0, 3))
-        alpha = tuple(rng.uniform(0.05, 1.0, size=k + 1))
-        n = int(rng.integers(2, 51))
-        hyper = HyperParams(num_contexts=k, alpha=alpha, n_max=max(n, 2))
-        units, habs = np.empty((n, k + 1, dim)), np.empty(n)
-        for row in range(n):
-            units[row, 0] = rng.normal(size=dim)
-            units[row, 1:] = rng.normal(size=(k, dim))
-            habs[row] = rng.uniform(0, 1)
-        net = Network(hyper, GROWING, units, habs)
-        # random rows give a random context through a random previous winner
-        net.prev_bmu = int(rng.integers(n))
-        x = rng.normal(size=dim)
-        got = net.find_bmu(x)
-        query = np.concatenate((x[None], net.global_context), axis=0)
-        want = brute_force_bmu(net.unit_table()[0], alpha, query)
-        assert got[0] == want[0] and got[1] == want[1]
-        assert got == full_scan(net, query)
 
 
 # unit tables for the screen tests: duplicated rows, rows 1 ulp apart, large
@@ -521,12 +458,6 @@ def test_prev_bmu_setter_takes_none_or_a_neuron_id(bad):
 # -- activity ------------------------------------------------------------------
 
 
-def test_activity_values():
-    assert activity(0.0) == 1.0
-    assert activity(0.67) == pytest.approx(math.exp(-0.67), rel=1e-12)
-    assert 0.0 < activity(50.0) < 1e-20
-
-
 def test_activity_rejects_negative_distance():
     with pytest.raises(ValueError):
         activity(-1e-9)
@@ -546,17 +477,9 @@ def test_activity_bounds(d):
 # -- habituation ---------------------------------------------------------------
 
 
-def test_habituate_from_one():
-    assert habituate(1.0, 0.3, 1.05) == pytest.approx(0.7, rel=1e-12)
-
-
 def test_habituate_fixed_point():
     fp = 1.0 - 1.0 / 1.05
     assert habituate(fp, 0.3, 1.05) == pytest.approx(fp, rel=1e-12)
-
-
-def test_habituate_mid_value():
-    assert habituate(0.5, 0.1, 1.05) == pytest.approx(0.4525, rel=1e-12)
 
 
 def test_habituate_is_elementwise_on_arrays():
@@ -804,16 +727,6 @@ def test_step_insertion_path():
     assert out.inserted is None and out.credited == out.bmu_id
 
 
-def test_step_insertion_leaves_existing_weights_bitwise_unchanged():
-    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=10)
-    net = init_growing(2, hyper, (np.zeros(2), np.array([10.0, 10.0])))
-    net._hab[0] = 0.05
-    before = net._units[:2].copy()
-    out = net.step(np.array([4.0, 0.0]))
-    assert out.inserted is not None
-    assert np.array_equal(before, net._units[:2])
-
-
 def test_step_adaptation_path_wires_winner_pair():
     net = two_neuron_net()
     out = net.step(np.array([1.0, 1.0]))
@@ -840,31 +753,6 @@ def test_step_activity_matches_distance():
     net = two_neuron_net()
     out = net.step(np.array([1.0, 1.0]))
     assert out.activity == pytest.approx(math.exp(-out.distance), rel=1e-12)
-
-
-# -- insertion gating (randomized) ----------------------------------------------
-
-
-def test_insertion_gate_holds_under_random_streams():
-    rng = np.random.default_rng(11)
-    hyper = HyperParams(num_contexts=1, alpha=(0.8, 0.2), n_max=12)
-    net = init_growing(3, hyper, (rng.normal(size=3), rng.normal(size=3)))
-    for step_index in range(400):
-        if step_index % 17 == 0:
-            net.reset_context()
-        x = rng.normal(size=3) * 3
-        probe = copy.deepcopy(net)
-        out = net.step(x)
-        assert net.num_neurons <= hyper.n_max
-        # re-derive the gate on the pre-step clone
-        b, s, d = probe.find_bmu(x)
-        a = math.exp(-d)
-        gate = (
-            a < hyper.insertion_threshold
-            and probe.unit_table()[1][b] < hyper.habituation_threshold
-            and probe.num_neurons < hyper.n_max
-        )
-        assert (out.inserted is not None) == gate
 
 
 # -- construction ----------------------------------------------------------------

@@ -189,19 +189,6 @@ def test_rnat_matches_brute_force_on_hand_built_chain():
         assert rnat.ids == brute_force_walk(net, source, hops=3)
 
 
-def test_rnat_matches_brute_force_randomized():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        n = int(rng.integers(2, 12))
-        k = int(rng.integers(0, 3))
-        seed = int(rng.integers(1 << 30))
-        rows = random_rows(rng, n, int(rng.integers(0, 40)))
-        net = make_net(n, num_contexts=k, seed=seed, transitions=rows)
-        source = int(rng.integers(0, n))
-        rnat = generate_rnat(net, source)
-        assert rnat.ids == brute_force_walk(net, source, hops=k + 1)
-
-
 # -- replay episodes -----------------------------------------------------------------
 
 
