@@ -144,11 +144,21 @@ def _resolved_config(echo: dict[str, dict]) -> bytes:
 # -- subcommands --------------------------------------------------------------
 
 
+def _print_closing(line: str) -> None:
+    """Print a command's closing line, which follows its last written output,
+    so that it cannot fail the command: characters stdout cannot encode print
+    backslash-escaped, as Python's stderr prints them."""
+    try:
+        print(line)
+    except UnicodeEncodeError as exc:
+        print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
+
+
 def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(**{key: getattr(args, key) for key in _SYNTHETIC_KEYS})
     dataset = generate_synthetic(spec, args.seed)
     write_features(dataset, args.out)
-    print(
+    _print_closing(
         f"wrote {dataset.num_frames} frames in {len(dataset.sequences)} sequences "
         f"({len(dataset.categories)} categories, {len(dataset.instances)} instances, "
         f"{len(dataset.sessions)} sessions, dim {dataset.dim}) to {args.out}"
@@ -255,7 +265,7 @@ def _cmd_run(args) -> int:
 
     final = max(r.checkpoint for r in result.records)
     finals = [r.acc_overall for r in result.records if r.checkpoint == final]
-    print(
+    _print_closing(
         f"{spec.label}: {len(finals)} trial(s), final overall accuracy "
         f"{sum(finals) / len(finals):.4f} -> {out_dir}"
     )

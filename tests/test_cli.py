@@ -199,6 +199,18 @@ def test_failed_write_leaves_no_completed_run(tmp_path, capsys, monkeypatch, wri
     assert (out / "metrics.csv").is_file()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "run"])
+def test_closing_line_escapes_what_stdout_cannot_encode(tmp_path, command):
+    """The closing line follows the last output, so a path that strict UTF-8
+    stdout cannot encode prints escaped and the command still exits 0."""
+    args = TINY_GEN if command == "gen-data" else TINY_RUN + ["--data", str(gen_tiny(tmp_path))]
+    out = tmp_path / os.fsdecode(b"out_\xe4")
+    done = run_cli_process(args + ["--out", out.name], cwd=tmp_path, PYTHONIOENCODING="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(" out_\\udce4\n")
+    assert (out / "metrics.csv" if command == "run" else out).is_file()
+
+
 def test_dataset_path_utf8_cannot_encode_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
     """config.resolved.ini echoes the dataset path as UTF-8, so a file name
     byte that decodes to a lone surrogate is refused before the run starts."""
@@ -700,138 +712,6 @@ def test_snapshot_dump(tmp_path, capsys):
     # one line for each neuron the header counts, in id order
     count = int(re.search(r"(?m)^  neurons=(\d+) ", printed).group(1))
     assert re.findall(r"(?m)^  neuron (\d+): ", printed) == [str(k) for k in range(count)]
-
-
-def test_snapshot_dump_reports_missing_key(tmp_path, capsys):
-    data = gen_tiny(tmp_path)
-    _, out = run_tiny(tmp_path, data, "dump_bad", ["--snapshot"])
-    path = out / "snapshots" / "trial_000.json"
-    doc = json.loads(path.read_text())
-    del doc["hyper"]
-    path.write_text(json.dumps(doc))
-    code = main(["snapshot-dump", str(path)])
-    assert code == 2
-    assert "'hyper'" in capsys.readouterr().err
-
-
-def _over_capacity(doc):
-    """Edit that keeps three neurons and declares a capacity of two."""
-    doc["neurons"] = doc["neurons"][:3]
-    doc["hyper"]["n_max"] = 2
-
-
-def _not_derived(key):
-    """The error for an entry whose text is not what the saver derives."""
-    return f"(?m)^error: snapshot {key} is not what the saver derives from the model$"
-
-
-# a snapshot a run writes ends at a sequence boundary: prev_bmu null, zero context
-_DERIVED_CONTEXT = _not_derived("global_context")
-_DERIVED_EDGES = _not_derived("edges")
-
-
-def _set(path, value):
-    """Edit that sets doc[path[0]]...[path[-1]] = value."""
-    def edit(doc):
-        for key in path[:-1]:
-            doc = doc[key]
-        doc[path[-1]] = value
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_set(["hyper", "gamma"], 0.5), "unknown keys"),
-        (_set(["hyper", "kappa"], "fast"), "hyper"),
-        (lambda doc: doc["edges"].append([0, 999]), "edges name a neuron"),
-        (lambda doc: doc["edges"].append([1, 1]), "self-edge"),
-        (lambda doc: doc["transitions"].append([0, 999, 1]),
-         r"transition \(0, 999, 1\) names a neuron that does not exist"),
-        (lambda doc: doc["label_counts"].append([999, "x", 1]), "label_counts name a neuron"),
-        (_set(["neurons", 1, "habituation"], 7.5), r"\[0, 1\]"),
-        (_set(["neurons", 1, "weight", 0], float("nan")), "non-finite"),
-        (_set(["neurons", 1, "weight"], [1.0, 2.0]), "shape"),
-        (_set(["neurons", 1, "contexts"], [[0.0] * 6]), "shape"),
-        (_set(["global_context", 0, 0], float("inf")), _DERIVED_CONTEXT),
-        (_set(["prev_bmu"], 999), "prev_bmu"),
-        (_set(["hyper", "num_contexts"], 2.0), "num_contexts must be an int"),
-        (_set(["hyper", "n_max"], 20.0), "n_max must be an int"),
-        (_set(["neurons", 1, "habituation"], "0.5"), "habituations are not numbers"),
-        (_set(["neurons", 1, "weight", 0], "0.5"), "weights are not numbers"),
-        (lambda doc: doc["hyper"].pop("context_form"), "'context_form'"),
-        (_set(["hyper", "context_form"], "literal"), "'context_form' must be 'recursive'"),
-        (_set(["hyper", "kappa"], float("inf")), "kappa must be a finite real"),
-        (_set(["hyper", "tau_b"], 10**400), "tau_b must be a finite real"),
-        (_set(["dim"], 10**12), "weights have shape"),
-        (_set(["neurons", 1, "habituation"], 0.04), "below the floor"),
-        (lambda doc: doc.update(total_label_records=doc["total_label_records"] + 1),
-         _not_derived("total_label_records")),
-        (lambda doc: doc.update(replay_label_records=doc["total_label_records"] + 1),
-         "replay records exceed"),
-        (lambda doc: doc["transitions"].append(doc["transitions"][0]), "listed twice"),
-        (lambda doc: doc["label_counts"].append(doc["label_counts"][0]), "listed twice"),
-        (_over_capacity, "3 neurons exceed n_max 2"),
-        (_set(["transitions", 0, 2], 0), r"\d+, 0\) needs an int count of at least 1"),
-        (_set(["label_counts", 0, 2], 0), "has count 0, below 1"),
-        (lambda doc: doc.update(transitions=[[False, True, 2]]),
-         r"transition \(False, True, 2\) names a neuron that does not exist"),
-        (lambda doc: doc.update(transitions=[[0, 1, True]]),
-         r"transition \(0, 1, True\) needs an int count"),
-        (lambda doc: doc["edges"].append([0, True]),
-         r"edges name a neuron that does not exist \(no neuron with id True\)"),
-        (_set(["neurons", 1, "id"], True), "non-dense neuron ids: expected 1, got True"),
-        (_set(["schema_version"], True), "unsupported snapshot schema version True"),
-        (_set(["schema_version"], 1.0), "unsupported snapshot schema version 1.0"),
-        (_set(["comment"], "x"), r"snapshot has unknown keys \['comment'\]"),
-        (_set(["neurons", 1, "label"], "x"), r"snapshot neuron 1 has unknown keys \['label'\]"),
-        (_set(["global_context", 0, 0], 1.0), _DERIVED_CONTEXT),
-        (_set(["global_context", 0, 0], -0.0), _DERIVED_CONTEXT),
-        (_set(["prev_bmu"], 0), _DERIVED_CONTEXT),
-        (lambda doc: doc["edges"].append(doc["edges"][0][::-1]), _DERIVED_EDGES),
-        (lambda doc: doc["edges"].append(doc["edges"][0]), _DERIVED_EDGES),
-        (lambda doc: doc["edges"].reverse(), _DERIVED_EDGES),
-        (lambda doc: doc["edges"][0].reverse(), _DERIVED_EDGES),
-        (lambda doc: doc["transitions"].reverse(), _not_derived("transitions")),
-        (lambda doc: doc["label_counts"].reverse(), _not_derived("label_counts")),
-        (_set(["global_context", 0, 0], 0), _DERIVED_CONTEXT),
-        (_set(["global_context", 0, 0], False), _DERIVED_CONTEXT),
-        (_set(["neurons", 1, "contexts", 0, 0], float("inf")), "unit rows hold non-finite values"),
-        (_set(["neurons", 1, "habituation"], float("nan")),
-         r"habituations must be finite and lie in \[0, 1\]"),
-        # no row but the global context's can confirm the dim here
-        (lambda doc: doc.update(neurons=[], edges=[], transitions=[], label_counts=[],
-                                replay_label_records=0, total_label_records=0, dim=10**12),
-         r"global_context rows have shape \(2, 6\), expected \(2, 1000000000000\)"),
-    ],
-    ids=[
-        "unknown-hyper-key", "bad-hyper-value", "edge-to-missing-neuron", "self-edge",
-        "transition-to-missing-neuron", "label-row-for-missing-neuron",
-        "habituation-out-of-range", "nan-weight", "short-weight", "missing-context-row",
-        "infinite-context", "prev-bmu-missing", "float-num-contexts", "float-n-max",
-        "string-habituation", "string-weight-cell", "context-form-missing",
-        "context-form-literal", "infinite-kappa", "int-too-large-for-float", "huge-dim",
-        "habituation-below-floor", "total-label-records-off-by-one",
-        "replay-records-above-total", "repeated-transition-row", "repeated-label-row",
-        "more-neurons-than-n-max", "zero-transition-count", "zero-label-count",
-        "bool-transition-ids", "bool-transition-count", "bool-edge-id", "bool-neuron-id",
-        "bool-schema-version", "float-schema-version", "unknown-top-level-key",
-        "unknown-neuron-key", "context-at-sequence-start", "negative-zero-context",
-        "zero-context-after-a-winner", "edge-both-ways", "edge-twice", "edges-reversed",
-        "edge-with-i-above-j", "transitions-reversed", "label-rows-reversed",
-        "int-zero-context", "false-context", "infinite-neuron-context", "nan-habituation",
-        "zero-neurons-huge-dim",
-    ],
-)
-def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, edit, message):
-    data = gen_tiny(tmp_path)
-    _, out = run_tiny(tmp_path, data, "dump_bad", ["--snapshot"])
-    path = out / "snapshots" / "trial_000.json"
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-    assert main(["snapshot-dump", str(path)]) == 2
-    assert re.search(message, capsys.readouterr().err)
 
 
 def test_snapshot_dump_rejects_deeply_nested_json(tmp_path, capsys):

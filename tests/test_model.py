@@ -682,7 +682,7 @@ def test_connect_creates_idempotently_and_rejects_self_edges():
     assert 1 in net.neighbors(0) and 0 in net.neighbors(1)
     net.connect(0, 1)
     assert net.edges == [(0, 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^self-edges are not allowed$"):
         net.connect(1, 1)
 
 
@@ -876,30 +876,34 @@ def test_hyperparams_reference_defaults():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        {"insertion_threshold": 0.0},
-        {"habituation_threshold": 1.0},
-        {"tau_b": 0.0},
-        {"kappa": 1.0},
-        {"eps_b": 0.001},  # violates eps_n < eps_b
-        {"beta": 1.0},
-        {"num_contexts": 1},  # alpha length mismatch
-        {"alpha": (0.5, -0.1, 0.1)},
-        {"n_max": 1},
-        pytest.param({"num_contexts": 2.0}, id="float-num-contexts"),
-        pytest.param({"n_max": 20.0}, id="float-n-max"),
-        pytest.param({"num_contexts": True, "alpha": (0.5, 0.5)}, id="bool-num-contexts"),
-        pytest.param({"kappa": float("inf")}, id="infinite-kappa"),
-        pytest.param({"tau_b": 10**400}, id="int-too-large-for-float"),
-        pytest.param({"alpha": (0.67, float("inf"), 0.09)}, id="infinite-alpha"),
-        pytest.param({"tau_n": True}, id="bool-tau-n"),
-        pytest.param({"num_contexts": 0, "alpha": 0.5}, id="scalar-alpha"),
-        pytest.param({"num_contexts": 0, "alpha": [1.0]}, id="list-alpha"),
+        ({"insertion_threshold": 0.0}, r"insertion_threshold must lie in \(0, 1\)"),
+        ({"habituation_threshold": 1.0}, r"habituation_threshold must lie in \(0, 1\)"),
+        ({"tau_b": 0.0}, "tau_b and tau_n must be positive"),
+        ({"kappa": 1.0}, "kappa must exceed 1"),
+        ({"eps_b": 0.001}, "need 0 < eps_n < eps_b < 1"),
+        ({"beta": 1.0}, r"beta must lie in \(0, 1\)"),
+        ({"num_contexts": 1}, "alpha needs 2 entries, got 3"),
+        ({"alpha": (0.5, -0.1, 0.1)}, "alpha entries must be nonnegative"),
+        ({"n_max": 1}, "n_max must be at least 2"),
+        ({"num_contexts": 2.0}, "num_contexts must be an int, got 2.0"),
+        ({"n_max": 20.0}, "n_max must be an int, got 20.0"),
+        ({"num_contexts": True, "alpha": (0.5, 0.5)}, "num_contexts must be an int, got True"),
+        ({"kappa": float("inf")}, "kappa must be a finite real number, got inf"),
+        ({"tau_b": 10**400}, "tau_b must be a finite real number, got 1" + "0" * 400 + "$"),
+        ({"alpha": (0.67, float("inf"), 0.09)}, "alpha entry must be a finite real number, got inf"),
+        ({"tau_n": True}, "tau_n must be a finite real number, got True"),
+        ({"num_contexts": 0, "alpha": 0.5}, "alpha must be a tuple, got 0.5"),
+        ({"num_contexts": 0, "alpha": [1.0]}, r"alpha must be a tuple, got \[1.0\]"),
+    ],
+    ids=[f"kwargs{i}" for i in range(9)] + [
+        "float-num-contexts", "float-n-max", "bool-num-contexts", "infinite-kappa",
+        "int-too-large-for-float", "infinite-alpha", "bool-tau-n", "scalar-alpha", "list-alpha",
     ],
 )
-def test_hyperparams_validation(kwargs):
-    with pytest.raises(ValueError):
+def test_hyperparams_validation(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         HyperParams(**kwargs)
 
 
