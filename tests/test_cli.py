@@ -714,6 +714,59 @@ def test_snapshot_dump(tmp_path, capsys):
     assert re.findall(r"(?m)^  neuron (\d+): ", printed) == [str(k) for k in range(count)]
 
 
+@pytest.fixture(scope="module")
+def tiny_snapshot(tmp_path_factory):
+    """The text of the first snapshot a tiny growing run writes."""
+    work = tmp_path_factory.mktemp("tiny_snapshot")
+    _, out = run_tiny(work, gen_tiny(work), "run", ["--snapshot"])
+    return (out / "snapshots" / "trial_000.json").read_text()
+
+
+def dump_edited(tmp_path, capsys, text, edit):
+    """`snapshot-dump` of ``text`` after ``edit`` changes its parse; returns
+    the exit code and what the command printed."""
+    doc = json.loads(text)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    return main(["snapshot-dump", str(path)]), capsys.readouterr()
+
+
+def test_snapshot_dump_reports_missing_key(tmp_path, capsys, tiny_snapshot):
+    code, captured = dump_edited(tmp_path, capsys, tiny_snapshot, lambda doc: doc.pop("hyper"))
+    assert code == 2
+    assert "'hyper'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(comment="x"), r"snapshot has unknown keys \['comment'\]"),
+        (lambda doc: doc["hyper"].update(kappa="fast"),
+         "snapshot hyper is malformed: kappa must be a finite real number, got 'fast'"),
+        (lambda doc: doc.update(prev_bmu=999), "snapshot prev_bmu 999 names no neuron"),
+        (lambda doc: doc["edges"].append([0, 999]),
+         r"snapshot edges name a neuron that does not exist \(no neuron with id 999\)"),
+        (lambda doc: doc["hyper"].update(n_max=2),
+         r"snapshot is not a valid network: \d+ neurons exceed n_max 2"),
+        (lambda doc: doc["neurons"][1].update(habituation=0.04),
+         "snapshot is not a valid network: habituation below the floor 1 - 1/kappa"),
+    ],
+    ids=["unknown-top-level-key", "bad-hyper-value", "prev-bmu-missing", "edge-to-missing-neuron",
+         "more-neurons-than-n-max", "habituation-below-floor"],
+)
+def test_snapshot_dump_rejects_malformed_snapshot(tmp_path, capsys, tiny_snapshot, edit, message):
+    """One row for each way a load fails: the loader's own rule, and each
+    HyperParams, Network and check_invariants error it turns into a
+    ValueError. Each reaches the shell as exit 2, one error line and no
+    output; the rules themselves are tested in tests/test_snapshot.py."""
+    code, captured = dump_edited(tmp_path, capsys, tiny_snapshot, edit)
+    assert code == 2
+    assert re.fullmatch(f"error: {message}\n", captured.err)
+    assert captured.out == ""
+
+
 def test_snapshot_dump_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
