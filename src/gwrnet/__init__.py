@@ -1,6 +1,6 @@
 """Recurrent grow-when-required networks with trajectory replay."""
 
-from .labeling import LabelAssociations, classify_sample
+from .labeling import LabelAssociations
 from .model import (
     GROWING,
     STATIC,
@@ -30,7 +30,6 @@ __all__ = [
     "Rnat",
     "StepOutcome",
     "activity",
-    "classify_sample",
     "generate_rnat",
     "habituate",
     "init_growing",

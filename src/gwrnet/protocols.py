@@ -14,7 +14,6 @@ parallel worker processes.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -28,8 +27,6 @@ from .model import (
 )
 from .replay import replay_episode
 from .snapshot import save_snapshot
-
-log = logging.getLogger(__name__)
 
 BATCH = "batch"
 INCREMENTAL = "incremental"
@@ -259,7 +256,6 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
 
 @dataclass
 class ProtocolResult:
-    spec: ProtocolSpec
     records: list[MetricsRecord]
     snapshots: dict[int, str]
 
@@ -289,10 +285,6 @@ def run_protocol(
             f"matching distances overflow: feature magnitude B = {big!r} and "
             f"sum(alpha) = {alpha!r} are too large"
         )
-    log.info(
-        "running %s: %d trial(s), n_max=%d, %d workers",
-        spec.label, spec.trials, spec.n_max, workers,
-    )
     jobs = [(spec, train, test, trial, with_snapshots) for trial in range(spec.trials)]
     if workers <= 1 or spec.trials == 1:
         outputs = [_run_trial(job) for job in jobs]
@@ -304,7 +296,7 @@ def run_protocol(
             outputs = list(pool.map(_run_trial, jobs))
     records = [record for trial_records, _ in outputs for record in trial_records]
     snapshots = {trial: text for trial, (_, text) in enumerate(outputs) if text is not None}
-    return ProtocolResult(spec=spec, records=records, snapshots=snapshots)
+    return ProtocolResult(records=records, snapshots=snapshots)
 
 
 # -- reporting ---------------------------------------------------------------

@@ -47,7 +47,6 @@ def generate_rnat(network: Network, source_id: int) -> Rnat:
 
 @dataclass
 class ReplayReport:
-    trajectories: int
     steps_applied: int
 
 
@@ -80,4 +79,4 @@ def replay_episode(network: Network, label_counts: LabelAssociations) -> ReplayR
                 label_counts.record(out.credited, readout[neuron_id], replay=True)
             steps += 1
     network.reset_context()
-    return ReplayReport(trajectories=len(rnats), steps_applied=steps)
+    return ReplayReport(steps_applied=steps)

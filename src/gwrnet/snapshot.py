@@ -110,14 +110,19 @@ def _count(value, what: str) -> int:
 
 def _floats(rows, shape: tuple, what: str) -> np.ndarray:
     """Float array of exactly ``shape`` built from nested lists of numbers;
-    strings and nulls are not numbers. Whether the values are finite is a
-    rule of ``Network``, or of the derived-text check for the global context."""
+    rows of unequal length or depth are ragged, and strings and nulls are not
+    numbers. Whether the values are finite is a rule of ``Network``, or of the
+    derived-text check for the global context."""
     try:
-        values = np.array(rows).astype(float, casting="safe", copy=False)
-        if values.size == 0:
-            values = values.reshape(shape)
-    except (TypeError, ValueError):
+        values = np.array(rows)
+    except ValueError:  # numpy's inhomogeneous-shape error
+        raise ValueError(f"snapshot {what} have ragged rows, expected shape {shape}") from None
+    try:
+        values = values.astype(float, casting="safe", copy=False)
+    except TypeError:
         raise ValueError(f"snapshot {what} are not numbers of shape {shape}") from None
+    if values.size == 0 and 0 in shape:  # an empty list has no inner shape
+        values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError(f"snapshot {what} have shape {values.shape}, expected {shape}")
     return values

@@ -431,12 +431,13 @@ def test_parallel_trials_match_serial():
 
 def test_import_leaves_the_process_pool_unloaded():
     """The process pool's modules load only in a run that uses workers, so a
-    serial run does not carry them."""
+    serial run does not carry them. Nor does any run load ``logging``: no
+    module configures a handler, so a logger would only cost the import."""
     src = Path(protocols.__file__).resolve().parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    pool = ("concurrent.futures.process", "multiprocessing")
-    code = f"import sys, gwrnet.cli; print([m for m in {pool!r} if m in sys.modules])"
+    unloaded = ("concurrent.futures.process", "multiprocessing", "logging")
+    code = f"import sys, gwrnet.cli; print([m for m in {unloaded!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout == "[]\n"

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gwrnet import replay
 from gwrnet.labeling import LabelAssociations
 from gwrnet.model import GROWING, HyperParams, Network, init_growing
 from gwrnet.replay import generate_rnat, replay_episode
@@ -206,10 +207,17 @@ def trained_toy_setup(seed=0):
     return net, labels
 
 
-def test_replay_generates_one_trajectory_per_neuron():
+def test_replay_generates_one_trajectory_per_neuron(monkeypatch):
     net, labels = trained_toy_setup()
-    report = replay_episode(net, labels)
-    assert report.trajectories == net.num_neurons
+    sources = []
+
+    def counting_rnat(network, source_id):
+        sources.append(source_id)
+        return generate_rnat(network, source_id)
+
+    monkeypatch.setattr(replay, "generate_rnat", counting_rnat)
+    replay_episode(net, labels)
+    assert sources == list(net.neuron_ids)
 
 
 def test_replay_on_empty_transitions_applies_no_steps():

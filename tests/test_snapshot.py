@@ -406,10 +406,10 @@ _MALFORMED = [
     # cells are numbers of the declared shape; a dim that no row confirms is
     # test_unconfirmed_dim_is_rejected_before_allocating's
     pytest.param(_set(["neurons", 1, "weight"], [1.0, 2.0]),
-                 r"^snapshot weights are not numbers of shape \(10, 3\)$",
+                 r"^snapshot weights have ragged rows, expected shape \(10, 3\)$",
                  id="short-weight"),
     pytest.param(_set(["neurons", 1, "contexts"], [[0.0] * 3]),
-                 r"^snapshot contexts are not numbers of shape \(10, 2, 3\)$",
+                 r"^snapshot contexts have ragged rows, expected shape \(10, 2, 3\)$",
                  id="missing-context-row"),
     pytest.param(_set(["neurons", 1, "habituation"], "0.5"),
                  r"^snapshot habituations are not numbers of shape \(10,\)$",
