@@ -144,21 +144,21 @@ def _resolved_config(echo: dict[str, dict]) -> bytes:
 # -- subcommands --------------------------------------------------------------
 
 
-def _print_closing(line: str) -> None:
-    """Print a command's closing line, which follows its last written output,
-    so that it cannot fail the command: characters stdout cannot encode print
-    backslash-escaped, as Python's stderr prints them."""
+def _print_escaped(text: str) -> None:
+    """Print what a command reports once its work is done, so that printing
+    cannot fail it: characters stdout cannot encode print backslash-escaped,
+    as Python's stderr prints them."""
     try:
-        print(line)
+        print(text)
     except UnicodeEncodeError as exc:
-        print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
+        print(text.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
 def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(**{key: getattr(args, key) for key in _SYNTHETIC_KEYS})
     dataset = generate_synthetic(spec, args.seed)
     write_features(dataset, args.out)
-    _print_closing(
+    _print_escaped(
         f"wrote {dataset.num_frames} frames in {len(dataset.sequences)} sequences "
         f"({len(dataset.categories)} categories, {len(dataset.instances)} instances, "
         f"{len(dataset.sessions)} sessions, dim {dataset.dim}) to {args.out}"
@@ -265,7 +265,7 @@ def _cmd_run(args) -> int:
 
     final = max(r.checkpoint for r in result.records)
     finals = [r.acc_overall for r in result.records if r.checkpoint == final]
-    _print_closing(
+    _print_escaped(
         f"{spec.label}: {len(finals)} trial(s), final overall accuracy "
         f"{sum(finals) / len(finals):.4f} -> {out_dir}"
     )
@@ -318,25 +318,35 @@ def _cmd_compare(args) -> int:
     # one row per checkpoint: the checkpoint, then each run's (mean, std)
     table = [(cp, [run[i] for run in runs]) for i, cp in enumerate(grids[0])]
 
-    header = ["checkpoint"] + names
-    rows = [[str(cp)] + [f"{m:.4f}+-{s:.4f}" for m, s in stats] for cp, stats in table]
-    widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(len(header))]
-    for row in [header] + rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-
     final, final_stats = table[-1]
     base = final_stats[0][0]
     deltas = [mean - base for mean, _ in final_stats]
-    print(f"final checkpoint {final} deltas vs {names[0]}:")
-    for name, (mean, _), delta in zip(names, final_stats, deltas):
-        print(f"  {name}: {mean:.4f} ({delta:+.4f})")
 
     # final_delta fills each run's _mean column and leaves its _std cell empty
     lines = [["checkpoint"] + [f"{n}_{stat}" for n in names for stat in ("mean", "std")]]
     lines += [[str(cp)] + [repr(v) for pair in stats for v in pair] for cp, stats in table]
     lines.append(["final_delta"] + [cell for d in deltas for cell in (repr(d), "")])
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(",".join(line) + "\n" for line in lines)
+    # encoded before the file is opened, so a name the table cannot hold
+    # leaves nothing behind
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(
+                f"run directory {name!r} is not UTF-8 text, which {args.out} names"
+            ) from None
+    csv_bytes = "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
+    with open(args.out, "wb") as fh:
+        fh.write(csv_bytes)
+
+    header = ["checkpoint"] + names
+    rows = [[str(cp)] + [f"{m:.4f}+-{s:.4f}" for m, s in stats] for cp, stats in table]
+    widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(len(header))]
+    report = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in [header] + rows]
+    report.append(f"final checkpoint {final} deltas vs {names[0]}:")
+    for name, (mean, _), delta in zip(names, final_stats, deltas):
+        report.append(f"  {name}: {mean:.4f} ({delta:+.4f})")
+    _print_escaped("\n".join(report))
     return 0
 
 
@@ -344,29 +354,33 @@ def _cmd_snapshot_dump(args) -> int:
     path = Path(args.snapshot_path)
     if not path.is_file():
         raise ValueError(f"snapshot file not found: {path}")
-    network, label_counts = load_snapshot(path.read_text(encoding="utf-8"))
-    print(f"snapshot {path}")
-    print(f"  mode={network.mode} dim={network.dim} steps={network.step_count}")
-    print(f"  neurons={network.num_neurons} edges={len(network.edges)}")
-    print(f"  prev_bmu={network.prev_bmu}")
-    print("  hyper: " + " ".join(
-        f"{k}={list(v) if isinstance(v, tuple) else v}"
-        for k, v in asdict(network.hyper).items()
-    ))
-    print(f"  transitions recorded: {sum(count for _, _, count in network.transitions)}")
-    print(
-        f"  label records: {label_counts.total_records} "
-        f"(replay-attributed: {label_counts.replay_records})"
-    )
+    try:
+        network, label_counts = load_snapshot(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     labeled = sum(1 for i in network.neuron_ids if label_counts.predict(i) is not None)
-    print(f"  labeled neurons: {labeled}/{network.num_neurons}")
+    report = [
+        f"snapshot {path}",
+        f"  mode={network.mode} dim={network.dim} steps={network.step_count}",
+        f"  neurons={network.num_neurons} edges={len(network.edges)}",
+        f"  prev_bmu={network.prev_bmu}",
+        "  hyper: " + " ".join(
+            f"{k}={list(v) if isinstance(v, tuple) else v}"
+            for k, v in asdict(network.hyper).items()
+        ),
+        f"  transitions recorded: {sum(count for _, _, count in network.transitions)}",
+        f"  label records: {label_counts.total_records} "
+        f"(replay-attributed: {label_counts.replay_records})",
+        f"  labeled neurons: {labeled}/{network.num_neurons}",
+    ]
     if args.neurons:
         for neuron_id, hab in enumerate(network.unit_table()[1].tolist()):
-            print(
+            report.append(
                 f"  neuron {neuron_id}: h={hab:.4f} "
                 f"label={label_counts.predict(neuron_id)!r} "
                 f"neighbors={network.neighbors(neuron_id)}"
             )
+    _print_escaped("\n".join(report))
     return 0
 
 

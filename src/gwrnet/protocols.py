@@ -226,11 +226,11 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
         counts = evaluate(network, label_counts, test)
         now = time.perf_counter()
         per_cat = {c: _accuracy([pair]) for c, pair in counts.items()}
+        # the encountered categories the test split scores
+        tracked = [c for c in encountered if c in counts]
         # a category's forgetting: its best accuracy since first presented minus now
-        for c in encountered:
-            if c in per_cat:
-                peaks[c] = max(peaks.get(c, 0.0), per_cat[c])
-        tracked = [c for c in encountered if c in peaks]
+        for c in tracked:
+            peaks[c] = max(peaks.get(c, 0.0), per_cat[c])
         forgetting = (
             sum(peaks[c] - per_cat[c] for c in tracked) / len(tracked) if tracked else 0.0
         )
@@ -242,7 +242,7 @@ def _run_trial(job) -> tuple[list[MetricsRecord], str | None]:
                 replay=spec.replay,
                 n_neurons=network.num_neurons,
                 acc_overall=_accuracy(counts.values()),
-                acc_seen=_accuracy([counts[c] for c in encountered if c in counts]),
+                acc_seen=_accuracy([counts[c] for c in tracked]),
                 forgetting_mean=forgetting,
                 replay_steps=replay_steps,
                 wall_ms=(now - last) * 1000.0,

@@ -9,15 +9,6 @@ from gwrnet.labeling import LabelAssociations, classify_sample
 from gwrnet.model import GROWING, HyperParams, Network, init_growing
 
 
-def labeled_net():
-    hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=10)
-    net = init_growing(2, hyper, (np.array([0.0, 0.0]), np.array([5.0, 5.0])))
-    counts = LabelAssociations()
-    for _ in range(4):
-        counts.record(0, "cup")
-    return net, counts
-
-
 def test_record_first_observation():
     counts = LabelAssociations()
     counts.record(3, "cup")
@@ -136,31 +127,6 @@ def classify(net, counts, frames):
         prev = net.match(x[None], prev)[0]
         labels.append(classify_sample(readout, int(prev[0])))
     return labels
-
-
-def test_classify_sample_returns_winner_label():
-    net, counts = labeled_net()
-    assert classify(net, counts, [np.array([0.1, 0.0])]) == ["cup"]
-
-
-def test_classify_sample_absent_for_unlabeled_winner():
-    net, counts = labeled_net()
-    assert classify(net, counts, [np.array([5.0, 5.0])]) == [None]
-
-
-def test_classify_sample_is_pure():
-    net, counts = labeled_net()
-    weights_before = net._units.copy()
-    hab_before = net._hab.copy()
-    steps_before = net.step_count
-    rows_before = {i: counts.row(i) for i in range(2)}
-    prev_before = net.prev_bmu
-    classify(net, counts, [np.array([0.1, 0.2]), np.array([4.0, 4.0])])
-    assert np.array_equal(net._units, weights_before)
-    assert np.array_equal(net._hab, hab_before)
-    assert net.step_count == steps_before
-    assert net.prev_bmu == prev_before
-    assert {i: counts.row(i) for i in range(2)} == rows_before
 
 
 def test_classify_sample_carries_context_across_frames():

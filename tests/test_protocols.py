@@ -76,10 +76,11 @@ def test_spec_batch_requires_epochs():
 
 
 def test_spec_incremental_rejects_multi_epoch():
-    with pytest.raises(ValueError, match="one iteration"):
+    message = "^incremental protocol fixes one iteration per mini-batch: epochs must be 0$"
+    with pytest.raises(ValueError, match=message):
         tiny_spec(epochs=3)
     # 1 trained exactly as 0 does, yet `compare` told the two runs apart
-    with pytest.raises(ValueError, match="one iteration per mini-batch: epochs must be 0"):
+    with pytest.raises(ValueError, match=message):
         tiny_spec(epochs=1)
 
 
@@ -107,8 +108,10 @@ def test_spec_rejects_bad_fields():
     for bad in (3, [2]):
         with pytest.raises(ValueError, match="test_sessions must be a tuple"):
             tiny_spec(test_sessions=bad)
+    # (2, 2) and (3, 2) would run the streams of (2,) and (2, 3) under another name
     for bad in ((2, 2), (3, 2), (1, 3, 3)):
-        with pytest.raises(ValueError, match=re.escape(f"increasing, got {list(bad)}")):
+        message = f"test_sessions must be strictly increasing, got {list(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_spec(test_sessions=bad)
     with pytest.raises(ValueError, match="hyper must be a HyperParams, got None"):
         tiny_spec(hyper=None)
@@ -148,12 +151,20 @@ def test_evaluate_perfect_memorization():
 
 
 def test_evaluate_unlabeled_network_scores_zero():
+    """A frame whose winner holds no label counts as wrong, even where
+    another neuron holds the frame's label."""
     dataset = tiny_dataset()
     _, test = split_by_sessions(dataset, TEST_SESSIONS)
     hyper = HyperParams(num_contexts=0, alpha=(1.0,), n_max=5)
     net = init_static(test.dim, hyper, -1.0, 1.0, 3)
-    counts = evaluate(net, LabelAssociations(), test)
-    assert all(c == 0 for c, _ in counts.values())
+    counts = LabelAssociations()
+    assert all(c == 0 for c, _ in evaluate(net, counts, test).values())
+    # a unit far from every frame wins none of them
+    units = net.unit_table()[0].copy()
+    units[-1] = 1e6
+    counts.record(len(units) - 1, test.sequences[0].instance)
+    far = Network(hyper, net.mode, units)
+    assert all(c == 0 for c, _ in evaluate(far, counts, test).values())
 
 
 def test_evaluate_rejects_empty_split():
@@ -420,15 +431,6 @@ def test_batch_kind_guard():
 # -- parallel execution -------------------------------------------------------------
 
 
-def test_parallel_trials_match_serial():
-    dataset = tiny_dataset()
-    spec = tiny_spec(trials=4)
-    serial = run_protocol(spec, dataset, workers=1, with_snapshots=True)
-    parallel = run_protocol(spec, dataset, workers=4, with_snapshots=True)
-    assert strip_wall(serial.records) == strip_wall(parallel.records)
-    assert serial.snapshots == parallel.snapshots
-
-
 def test_import_leaves_the_process_pool_unloaded():
     """The process pool's modules load only in a run that uses workers, so a
     serial run does not carry them. Nor does any run load ``logging``: no
@@ -517,6 +519,38 @@ def test_forgetting_zero_without_decline(monkeypatch):
 def test_run_protocol_rejects_a_split_with_no_train_session():
     with pytest.raises(ValueError, match=r"test_sessions \[1, 2, 3, 4\] leave no session"):
         run_protocol(tiny_spec(test_sessions=(1, 2, 3, 4)), tiny_dataset())
+
+
+def two_session_dataset(first, second):
+    """Session 1 holds the frames ``first``, session 2 the frames ``second``."""
+    return Dataset([
+        Sequence("a", "a0", 1, 0, np.array(first, dtype=float)),
+        Sequence("a", "a0", 2, 1, np.array(second, dtype=float)),
+    ])
+
+
+# the bound is checked before any arithmetic, so numpy warns of nothing
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cell, alpha, message",
+    [
+        (-1e200, (1.0,), "feature magnitude B = 1e+200 and sum(alpha) = 1.0"),
+        (2.0, (1e308,), "feature magnitude B = 2.0 and sum(alpha) = 1e+308"),
+    ],
+    ids=["huge-features", "huge-alpha-sum"],
+)
+def test_run_protocol_refuses_matching_distances_that_could_overflow(cell, alpha, message):
+    dataset = two_session_dataset([[cell, 0.5], [0.5, 0.5]], [[1.0, 1.0]])
+    spec = tiny_spec(hyper=HyperParams(num_contexts=0, alpha=alpha))
+    with pytest.raises(ValueError) as info:
+        run_protocol(spec, dataset)
+    assert str(info.value) == f"matching distances overflow: {message} are too large"
+
+
+def test_growing_run_needs_two_training_frames():
+    dataset = two_session_dataset([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^growing mode needs at least two training frames$"):
+        run_protocol(tiny_spec(trials=1), dataset)
 
 
 def test_metrics_csv_is_deterministic_and_excludes_wall_time(tmp_path):

@@ -64,12 +64,13 @@ def test_round_trip_restores_state_exactly():
     assert labels2.replay_records == labels.replay_records
 
 
-@pytest.mark.parametrize("static", [False, True])
-def test_loaded_network_continues_identically(static):
+def test_loaded_static_network_continues_identically():
+    """Criterion 10 checks the continuation of a growing network; this is the
+    same check for a static one, whose mode must survive the round trip."""
     rng = np.random.default_rng(5)
     stream = rng.normal(size=(160, 3)) * 2
 
-    net_a, lab_a, _ = fresh_setup(7, static=static)
+    net_a, lab_a, _ = fresh_setup(7, static=True)
     train_some(net_a, lab_a, stream[:80])
     mid = save_snapshot(net_a, lab_a)
     # note: 80 is mid-sequence for boundary 13, so the context stack and the
